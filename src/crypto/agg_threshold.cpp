@@ -6,15 +6,6 @@
 
 namespace mewc {
 
-namespace {
-
-// Memos hold verification results for the run's working set of digests;
-// clearing (rather than evicting) at the bound keeps the structure trivial
-// and the worst case is re-verification, never a wrong answer.
-constexpr std::size_t kMemoBound = 1u << 16;
-
-}  // namespace
-
 rc::Point bls_message_point(std::string_view domain, std::uint64_t bits) {
   Hasher h;
   h.feed(domain);
@@ -83,17 +74,11 @@ PartialSig RealThreshold::make_partial(ProcessId signer, Digest d) const {
 
 bool RealThreshold::verify_partial(const PartialSig& p) const {
   if (p.signer >= n() || p.k != k()) return false;
-  const auto key = std::make_tuple(p.signer, p.digest.bits, p.tag);
-  if (const auto it = partial_memo_.find(key); it != partial_memo_.end()) {
-    ++stats_.memo_hits;
-    return it->second;
-  }
-  const bool ok =
-      bls_verify_at(share_pks_[p.signer], message_point(p.digest), p.tag,
-                    &stats_);
-  if (partial_memo_.size() >= kMemoBound) partial_memo_.clear();
-  partial_memo_.emplace(key, ok);
-  return ok;
+  return partial_memo_.get_or_verify(
+      {p.signer, p.digest.bits, p.tag}, stats_, [&] {
+        return bls_verify_at(share_pks_[p.signer], message_point(p.digest),
+                             p.tag, &stats_);
+      });
 }
 
 std::uint64_t RealThreshold::combine_tag(
@@ -127,16 +112,10 @@ std::uint64_t RealThreshold::combine_tag(
 
 bool RealThreshold::verify(const ThresholdSig& sig) const {
   if (sig.k != k()) return false;
-  const auto key = std::make_tuple(sig.digest.bits, sig.tag);
-  if (const auto it = group_memo_.find(key); it != group_memo_.end()) {
-    ++stats_.memo_hits;
-    return it->second;
-  }
-  const bool ok =
-      bls_verify_at(group_pk_, message_point(sig.digest), sig.tag, &stats_);
-  if (group_memo_.size() >= kMemoBound) group_memo_.clear();
-  group_memo_.emplace(key, ok);
-  return ok;
+  return group_memo_.get_or_verify({sig.digest.bits, sig.tag}, stats_, [&] {
+    return bls_verify_at(group_pk_, message_point(sig.digest), sig.tag,
+                         &stats_);
+  });
 }
 
 bool RealThreshold::verify_batch(std::span<const ThresholdSig> sigs) const {
@@ -172,8 +151,7 @@ bool RealThreshold::verify_batch(std::span<const ThresholdSig> sigs) const {
   // The whole batch verified: seed the memo so later individual verifies of
   // these certificates are hits.
   for (const ThresholdSig& s : sigs) {
-    if (group_memo_.size() >= kMemoBound) group_memo_.clear();
-    group_memo_.emplace(std::make_tuple(s.digest.bits, s.tag), true);
+    group_memo_.record({s.digest.bits, s.tag}, true);
   }
   return true;
 }

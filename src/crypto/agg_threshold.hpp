@@ -16,12 +16,10 @@
 // results (never tags) are memoized per scheme, keyed by the full
 // (signer, digest, tag) triple: across the phases of one protocol run — and
 // across cached-setup runs — each certificate costs one pairing check total
-// instead of one per receiving process. Caches are bounded and not
-// thread-safe; schemes are per-worker via harness::SetupCache.
+// instead of one per receiving process (crypto/verify_memo.hpp).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string_view>
 #include <tuple>
@@ -29,21 +27,9 @@
 
 #include "crypto/realcurve.hpp"
 #include "crypto/threshold.hpp"
+#include "crypto/verify_memo.hpp"
 
 namespace mewc {
-
-/// Pairing-evaluation and memo-hit counters, aggregated into EngineStats by
-/// the SMR engine and reported by the E-CRYPTO bench.
-struct CryptoVerifyStats {
-  std::uint64_t pairings = 0;
-  std::uint64_t memo_hits = 0;
-
-  CryptoVerifyStats& operator+=(const CryptoVerifyStats& o) {
-    pairings += o.pairings;
-    memo_hits += o.memo_hits;
-    return *this;
-  }
-};
 
 /// Domain-separated hash of a digest onto the order-q subgroup.
 [[nodiscard]] rc::Point bls_message_point(std::string_view domain,
@@ -98,11 +84,9 @@ class RealThreshold final : public ThresholdScheme {
   std::vector<std::uint64_t> shares_;    // s_i = P(x_i) in Z_q (secret)
   std::vector<rc::Point> share_pks_;     // s_i * G (public)
   rc::Point group_pk_;                   // P(0) * G; P(0) itself is dropped
-  // Verification-result memos: values only, never tags, so cached-setup runs
-  // stay bit-identical to fresh ones. Bounded; see note atop this file.
-  mutable std::map<std::tuple<ProcessId, std::uint64_t, std::uint64_t>, bool>
+  mutable VerifyMemo<std::tuple<ProcessId, std::uint64_t, std::uint64_t>>
       partial_memo_;
-  mutable std::map<std::tuple<std::uint64_t, std::uint64_t>, bool> group_memo_;
+  mutable VerifyMemo<std::tuple<std::uint64_t, std::uint64_t>> group_memo_;
   mutable CryptoVerifyStats stats_;
 };
 

@@ -7,8 +7,6 @@ namespace mewc {
 
 namespace {
 
-constexpr std::size_t kVerifyMemoBound = 1u << 16;
-
 /// Message point for individual BLS signatures; the threshold schemes hash
 /// under "mewc.bls.threshold", so the domains never collide.
 [[nodiscard]] rc::Point pki_message_point(Digest d) {
@@ -88,17 +86,12 @@ bool Pki::verify(const Signature& sig) const {
   if (backend_ != ThresholdBackend::kReal) {
     return sig.tag == mac(sig.signer, sig.digest);
   }
-  const auto key = std::make_tuple(sig.signer, sig.digest.bits, sig.tag);
-  if (const auto it = verify_memo_.find(key); it != verify_memo_.end()) {
-    ++crypto_stats_.memo_hits;
-    return it->second;
-  }
-  const bool ok = bls_verify_at(bls_pks_[sig.signer],
-                                pki_message_point(sig.digest), sig.tag,
-                                &crypto_stats_);
-  if (verify_memo_.size() >= kVerifyMemoBound) verify_memo_.clear();
-  verify_memo_.emplace(key, ok);
-  return ok;
+  return verify_memo_.get_or_verify(
+      {sig.signer, sig.digest.bits, sig.tag}, crypto_stats_, [&] {
+        return bls_verify_at(bls_pks_[sig.signer],
+                             pki_message_point(sig.digest), sig.tag,
+                             &crypto_stats_);
+      });
 }
 
 bool Pki::verify_mac_xor(Digest d, std::span<const ProcessId> signers,
@@ -119,16 +112,21 @@ bool Pki::verify_aggregate(Digest d, std::span<const ProcessId> signers,
   // One pairing pair for the whole certificate: e(sigma, G) == e(H(d), sum
   // of the claimed signers' public keys). Sound because every key in the
   // universe carried a proof of possession at setup.
-  rc::Point pk_sum;  // infinity
-  for (ProcessId p : signers) {
-    if (p >= bls_pks_.size()) return false;
-    pk_sum = rc::point_add(pk_sum, bls_pks_[p]);
-  }
-  rc::Point sigma;
-  if (!rc::decompress(tag, &sigma)) return false;
-  if (!rc::in_subgroup(sigma)) return false;
-  crypto_stats_.pairings += 2;
-  return rc::pairing(sigma, rc::kG) == rc::pairing(pki_message_point(d), pk_sum);
+  return aggregate_memo_.get_or_verify(
+      {d.bits, tag, std::vector<ProcessId>(signers.begin(), signers.end())},
+      crypto_stats_, [&] {
+        rc::Point pk_sum;  // infinity
+        for (ProcessId p : signers) {
+          if (p >= bls_pks_.size()) return false;
+          pk_sum = rc::point_add(pk_sum, bls_pks_[p]);
+        }
+        rc::Point sigma;
+        if (!rc::decompress(tag, &sigma)) return false;
+        if (!rc::in_subgroup(sigma)) return false;
+        crypto_stats_.pairings += 2;
+        return rc::pairing(sigma, rc::kG) ==
+               rc::pairing(pki_message_point(d), pk_sum);
+      });
 }
 
 std::uint64_t Pki::aggregate_fold(std::uint64_t agg_tag,

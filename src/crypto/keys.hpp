@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -130,7 +129,9 @@ class Pki {
 
   /// Verifies an aggregate multisignature tag over `signers`: XOR of MACs
   /// for the ideal backends, one pairing pair against the summed public
-  /// keys for kReal (see crypto/multisig.hpp).
+  /// keys for kReal (see crypto/multisig.hpp). kReal results are memoized
+  /// under (digest, tag, the full signer list): the same tag claimed for a
+  /// different set is a different statement and is verified afresh.
   [[nodiscard]] bool verify_aggregate(Digest d,
                                       std::span<const ProcessId> signers,
                                       std::uint64_t tag) const;
@@ -182,10 +183,12 @@ class Pki {
   std::vector<std::uint64_t> bls_pk_encs_;
   std::vector<EdKeyPair> pop_keys_;
   std::vector<EdSig> pops_;
-  // Verification-result memo for kReal individual signatures (values only;
-  // bounded; not thread-safe — one Pki per worker via SetupCache).
-  mutable std::map<std::tuple<ProcessId, std::uint64_t, std::uint64_t>, bool>
+  // kReal verification-result memos (crypto/verify_memo.hpp).
+  mutable VerifyMemo<std::tuple<ProcessId, std::uint64_t, std::uint64_t>>
       verify_memo_;
+  mutable VerifyMemo<
+      std::tuple<std::uint64_t, std::uint64_t, std::vector<ProcessId>>>
+      aggregate_memo_;
   mutable CryptoVerifyStats crypto_stats_;
   mutable std::uint64_t signatures_issued_ = 0;
   mutable std::vector<std::uint64_t> per_signer_issued_;

@@ -149,6 +149,10 @@ void Engine::finish() {
     stats_.crypto_pairings += crypto.pairings;
     stats_.crypto_memo_hits += crypto.memo_hits;
   }
+  const CryptoVerifyStats checkpoint =
+      ledger_.checkpoint_cache().crypto_verify_stats();
+  stats_.checkpoint_pairings = checkpoint.pairings;
+  stats_.checkpoint_memo_hits = checkpoint.memo_hits;
   stats_.backpressure_waits =
       window_waits_ + scheduler_.stats().backpressure_waits;
 }

@@ -11,6 +11,8 @@
 //  - Each worker owns a private harness::SetupCache, so threshold key
 //    generation is amortized across that worker's instances without ever
 //    sharing the (non-thread-safe) Pki signature counters across threads.
+//    Checkpoint BAs run on the ledger's own cache, which only the
+//    commit-lock holder touches.
 //  - Completed instance reports land in a reorder buffer keyed by slot; the
 //    completing worker also advances the commit frontier while holding the
 //    commit lock, so commits (including checkpoint BAs) are serial and in
@@ -84,6 +86,11 @@ struct EngineStats {
   /// cert, then cache hits as the same cert recurs across phases and slots.
   std::uint64_t crypto_pairings = 0;
   std::uint64_t crypto_memo_hits = 0;
+  /// The same counters for the checkpoint BAs, read from the ledger's
+  /// checkpoint setup cache. Kept apart so crypto_* stays a per-BB-slot
+  /// cost.
+  std::uint64_t checkpoint_pairings = 0;
+  std::uint64_t checkpoint_memo_hits = 0;
   /// Largest number of completed-but-uncommitted instances observed.
   std::uint64_t max_reorder_depth = 0;
   /// submit() calls that blocked on the pipeline window plus, from the

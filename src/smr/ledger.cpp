@@ -124,6 +124,7 @@ void Ledger::run_checkpoint(const AdversaryFactory& adversary) {
 
     const harness::ProtocolDriver* sba = harness::find_driver("strong-ba");
     MEWC_CHECK(sba != nullptr);
+    spec.setup_cache = &checkpoint_cache_;
     res = sba->run(spec, inputs, adv_ref);
   }
 

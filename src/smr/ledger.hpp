@@ -196,10 +196,22 @@ class Ledger {
   /// No-op when no checkpoint is pending.
   void complete_pending_checkpoint(const AdversaryFactory& adversary = nullptr);
 
+  /// The trusted setup the built-in checkpoint BAs run on: one family for
+  /// the ledger's lifetime, so key generation and the kReal verification
+  /// memos carry over from one checkpoint to the next. Unused when a
+  /// checkpoint_runner is installed.
+  [[nodiscard]] const harness::SetupCache& checkpoint_cache() const {
+    return checkpoint_cache_;
+  }
+
  private:
   void run_checkpoint(const AdversaryFactory& adversary);
 
   Config config_;
+  /// Not thread-safe (see SetupCache); every run_checkpoint caller is
+  /// serial: append() is single-threaded, the engine commits and restores
+  /// under its commit lock, and recovery runs before any slot.
+  harness::SetupCache checkpoint_cache_;
   /// Batch blobs awaiting their slot's commit, keyed by slot.
   std::map<std::uint64_t, std::vector<std::uint8_t>> payloads_;
   std::vector<SlotRecord> slots_;

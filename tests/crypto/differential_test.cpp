@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/adversary_registry.hpp"
 #include "check/campaign.hpp"
 #include "check/crash.hpp"
 #include "check/json.hpp"
@@ -231,6 +232,88 @@ TEST(Differential, EngineKvDigestMatchesAcrossBackends) {
   EXPECT_EQ(sim.stats.crypto_memo_hits, 0u);
   EXPECT_GT(real.stats.crypto_pairings, 0u);
   EXPECT_GT(real.stats.crypto_memo_hits, 0u);
+}
+
+// The engine-real shape: n=9, t=4, three workers, a checkpoint every 8
+// slots and a crash adversary (f=2) on every slot and checkpoint, so each
+// checkpoint runs Algorithm 5's Dolev-Strong fallback under kReal. The
+// checkpoint BAs share the ledger's one cached setup, and the outcome must
+// still equal the kSim one-worker reference record for record.
+TEST(Differential, FaultedCheckpointsMatchSimReference) {
+  constexpr std::uint64_t kSlots = 64;
+  constexpr std::uint64_t kSeed = 1;
+  const smr::Ledger::AdversaryFactory crash = [](std::uint64_t slot,
+                                                 ProcessId sender) {
+    check::AdversaryParams p;
+    p.protocol =
+        sender == kNoProcess ? check::Protocol::kStrongBa : check::Protocol::kBb;
+    p.n = 9;
+    p.t = 4;
+    p.f = 2;
+    p.instance = 1000 + 2 * slot + (sender == kNoProcess ? 1 : 0);
+    p.seed = kSeed;
+    p.sender = sender;
+    return check::make_adversary("crash", p);
+  };
+  struct Outcome {
+    std::uint64_t ledger_digest = 0;
+    std::uint64_t words = 0;
+    std::uint64_t kv_digest = 0;
+    std::vector<smr::CheckpointRecord> checkpoints;
+    std::uint64_t checkpoint_misses = 0;
+    smr::EngineStats stats;
+  };
+  auto run = [&](ThresholdBackend backend, std::uint32_t workers) {
+    smr::EngineConfig c;
+    c.n = 9;
+    c.t = 4;
+    c.seed = kSeed;
+    c.backend = backend;
+    c.workers = workers;
+    c.checkpoint_every = 8;
+    smr::Store store;
+    smr::Durability dur(&store);
+    c.durability = &dur;
+    smr::Engine engine(c);
+    for (std::uint64_t s = 0; s < kSlots; ++s) {
+      engine.submit(check::crash_proposal(kSeed, s).pack(), crash);
+    }
+    engine.finish();
+    Outcome out;
+    out.ledger_digest = engine.ledger().ledger_digest();
+    out.words = engine.ledger().total_words();
+    out.kv_digest = dur.kv().digest();
+    out.checkpoints = engine.ledger().checkpoints();
+    out.checkpoint_misses = engine.ledger().checkpoint_cache().misses();
+    out.stats = engine.stats();
+    return out;
+  };
+
+  const Outcome sim = run(ThresholdBackend::kSim, 1);
+  const Outcome real = run(ThresholdBackend::kReal, 3);
+  EXPECT_EQ(sim.ledger_digest, real.ledger_digest);
+  EXPECT_EQ(sim.words, real.words);
+  EXPECT_EQ(sim.kv_digest, real.kv_digest);
+  ASSERT_EQ(real.checkpoints.size(), kSlots / 8);
+  ASSERT_EQ(sim.checkpoints.size(), real.checkpoints.size());
+  for (std::size_t i = 0; i < sim.checkpoints.size(); ++i) {
+    const smr::CheckpointRecord& a = sim.checkpoints[i];
+    const smr::CheckpointRecord& b = real.checkpoints[i];
+    EXPECT_EQ(a.after_slot, b.after_slot) << "checkpoint " << i;
+    EXPECT_EQ(a.ledger_digest, b.ledger_digest) << "checkpoint " << i;
+    EXPECT_EQ(a.accepted, b.accepted) << "checkpoint " << i;
+    EXPECT_EQ(a.agreement, b.agreement) << "checkpoint " << i;
+    EXPECT_EQ(a.words, b.words) << "checkpoint " << i;
+    EXPECT_TRUE(b.accepted && b.agreement) << "checkpoint " << i;
+  }
+  EXPECT_EQ(real.stats.fallbacks, 0u);
+
+  // One trusted setup serves every checkpoint, and its memo carries the
+  // fallback's relay certificates across receivers.
+  EXPECT_EQ(real.checkpoint_misses, 1u);
+  EXPECT_GT(real.stats.checkpoint_pairings, 0u);
+  EXPECT_GT(real.stats.checkpoint_memo_hits, real.stats.checkpoint_pairings);
+  EXPECT_EQ(sim.stats.checkpoint_pairings, 0u);
 }
 
 }  // namespace

@@ -413,6 +413,12 @@ int run_smr(const Options& o) {
   std::printf("setup cache:   %llu hits / %llu misses\n",
               static_cast<unsigned long long>(stats.setup_cache_hits),
               static_cast<unsigned long long>(stats.setup_cache_misses));
+  std::printf("crypto:        %llu pairings / %llu memo hits in slots, "
+              "%llu / %llu in checkpoints\n",
+              static_cast<unsigned long long>(stats.crypto_pairings),
+              static_cast<unsigned long long>(stats.crypto_memo_hits),
+              static_cast<unsigned long long>(stats.checkpoint_pairings),
+              static_cast<unsigned long long>(stats.checkpoint_memo_hits));
   std::printf("pipeline:      max reorder %llu, backpressure waits %llu\n",
               static_cast<unsigned long long>(stats.max_reorder_depth),
               static_cast<unsigned long long>(stats.backpressure_waits));
