@@ -15,6 +15,8 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 /// Attempts to assemble certificates on two conflicting values using f
 /// corrupted shares (which sign both) and a disjoint split of correct
 /// voters. Returns true if both certificates verify: a safety violation.
@@ -93,12 +95,11 @@ void protocol_level_check() {
   auto spec = harness::RunSpec::for_t(t);
   adv::WbaCertSplit adversary(spec.instance, 1, WireValue::plain(Value(9)),
                               2, 1);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adversary);
+  const auto res =
+      kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adversary);
   std::uint32_t distinct = 0;
   std::vector<std::uint64_t> seen;
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     if (!s) continue;
     if (std::find(seen.begin(), seen.end(), s->decision.value.raw) ==
         seen.end()) {

@@ -14,6 +14,9 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 void boundary_vs_gap() {
   subheading("adaptive boundary vs resilience gap (t = 6)");
   const std::uint32_t t = 6;
@@ -37,11 +40,10 @@ void cost_at_max_f_vs_gap() {
   for (std::uint32_t n : {2 * t + 1, 2 * t + 3, 3 * t + 1, 4 * t + 1}) {
     auto spec = harness::RunSpec::with(n, t);
     adv::CrashAdversary adversary(first_f(t));
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     tab.row({u64(n), u64(res.meter.words_correct),
-             res.any_fallback() ? "yes" : "no", u64(res.help_reqs_sent())});
+             res.any_fallback() ? "yes" : "no", u64(res.help_reqs())});
   }
   tab.print();
   std::printf(
@@ -57,8 +59,9 @@ void bb_validity_across_resilience() {
   for (std::uint32_t n : {2 * t + 1, 3 * t + 1, 5 * t + 1}) {
     auto spec = harness::RunSpec::with(n, t);
     adv::CrashAdversary adversary(first_f(t));
-    const auto res = harness::run_bb(spec, n - 1, Value(6), adversary);
-    tab.row({u64(n), res.decision() == Value(6) ? "yes" : "NO",
+    const auto res =
+        kBb.run(spec, {kBb.prepare(spec.n, Value(6)), n - 1}, adversary);
+    tab.row({u64(n), res.decision().value == Value(6) ? "yes" : "NO",
              u64(res.meter.words_correct)});
   }
   tab.print();
@@ -70,9 +73,8 @@ void bm_resilience(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = harness::RunSpec::with(n, t);
     adv::CrashAdversary adversary(first_f(t));
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     benchmark::DoNotOptimize(res.meter.words_correct);
   }
 }

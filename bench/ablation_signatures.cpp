@@ -13,6 +13,10 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+const harness::ProtocolDriver& kDsBb = *harness::find_driver("ds-bb");
+
 void separation_table() {
   subheading("failure-free: logical signatures transferred vs words");
   Table tab({"protocol", "n", "logical sigs", "sigs/(n*t)", "words",
@@ -23,7 +27,7 @@ void separation_table() {
     {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      const auto res = harness::run_bb(spec, 0, Value(1), a);
+      const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, a);
       tab.row({"adaptive BB", u64(n), u64(res.meter.logical_sigs_correct),
                fixed2(res.meter.logical_sigs_correct / nt),
                u64(res.meter.words_correct),
@@ -32,8 +36,8 @@ void separation_table() {
     {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      const auto res = harness::run_strong_ba(
-          spec, std::vector<Value>(spec.n, Value(1)), a);
+      const auto res =
+          kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, a);
       tab.row({"strong BA (Alg 5)", u64(n),
                u64(res.meter.logical_sigs_correct),
                fixed2(res.meter.logical_sigs_correct / nt),
@@ -43,7 +47,7 @@ void separation_table() {
     {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      const auto res = harness::run_ds_bb(spec, 0, Value(1), a);
+      const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, a);
       tab.row({"Dolev-Strong BB", u64(n),
                u64(res.meter.logical_sigs_correct),
                fixed2(res.meter.logical_sigs_correct / nt),
@@ -65,8 +69,8 @@ void signing_operations() {
     const auto n = n_for_t(t);
     adv::NullAdversary a1, a2;
     auto spec = harness::RunSpec::for_t(t);
-    const auto bb = harness::run_bb(spec, 0, Value(1), a1);
-    const auto ds = harness::run_ds_bb(spec, 0, Value(1), a2);
+    const auto bb = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, a1);
+    const auto ds = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, a2);
     tab.row({"adaptive BB", u64(n), u64(bb.signatures_issued)});
     tab.row({"Dolev-Strong BB", u64(n), u64(ds.signatures_issued)});
   }
@@ -78,7 +82,7 @@ void bm_signature_accounting(benchmark::State& state) {
   for (auto _ : state) {
     adv::NullAdversary a;
     auto spec = harness::RunSpec::for_t(t);
-    const auto res = harness::run_bb(spec, 0, Value(1), a);
+    const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, a);
     benchmark::DoNotOptimize(res.meter.logical_sigs_correct);
   }
 }

@@ -12,6 +12,9 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 void bb_nonsilent_vs_f() {
   const std::uint32_t t = 15;  // n = 31
   subheading("BB non-silent vetting phases vs f (silent sender + killer)");
@@ -24,7 +27,8 @@ void bb_nonsilent_vs_f() {
     parts.push_back(
         std::make_unique<adv::AdaptiveLeaderCrash>(4, 3, spec.n, f - 1));
     adv::Composite adversary(std::move(parts));
-    const auto res = harness::run_bb(spec, spec.n - 1, Value(1), adversary);
+    const auto res =
+        kBb.run(spec, {kBb.prepare(spec.n, Value(1)), spec.n - 1}, adversary);
     tab.row({u64(res.f()), u64(active_windows(res.meter, 2, 3, spec.n)),
              u64(res.f() + 1), u64(res.meter.words_correct)});
   }
@@ -42,11 +46,10 @@ void wba_nonsilent_vs_f() {
     // round 3): the phase is burned at full O(n) cost. Killing before the
     // phase would be free — silent phases cost nothing.
     adv::AdaptiveLeaderCrash adversary(3, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     std::uint64_t phase = 0;
-    for (const auto& s : res.stats) {
+    for (const auto& s : res.outcomes) {
       if (s && s->decided_phase > phase) phase = s->decided_phase;
     }
     tab.row({u64(res.f()), u64(active_windows(res.meter, 1, 5, spec.n)),
@@ -65,9 +68,8 @@ void per_phase_cost() {
   auto spec = harness::RunSpec::for_t(t);
   const std::uint32_t f = 4;
   adv::AdaptiveLeaderCrash adversary(3, 5, spec.n, f);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-      harness::always_valid_factory(), adversary);
+  const auto res =
+      kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
   Table tab({"phase", "words", "words/n"});
   for (std::uint64_t j = 1; j <= f + 2; ++j) {
     const Round lo = static_cast<Round>(5 * (j - 1)) + 1;
@@ -88,11 +90,10 @@ void early_stopping() {
   for (std::uint32_t f = 0; f <= adaptive_boundary(n_for_t(t), t); f += 2) {
     auto spec = harness::RunSpec::for_t(t);
     adv::AdaptiveLeaderCrash adversary(3, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     Round worst = 0;
-    for (const auto& s : res.stats) {
+    for (const auto& s : res.outcomes) {
       if (s && s->decided_round > worst) worst = s->decided_round;
     }
     tab.row({u64(res.f()), u64(worst), u64(5 * (res.f() + 1)),
@@ -111,9 +112,8 @@ void bm_leader_killer(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = harness::RunSpec::for_t(t);
     adv::AdaptiveLeaderCrash adversary(1, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     benchmark::DoNotOptimize(res.meter.words_correct);
   }
 }

@@ -102,19 +102,21 @@ MicrobenchResult run_microbench(std::uint32_t n, Round rounds) {
     procs.push_back(std::make_unique<BeatProcess>());
   }
   Adversary null_adv;
-  Executor exec(family, std::move(bundles), std::move(procs), null_adv);
+  const auto exec = make_executor(ExecutorKind::kLockstep, family,
+                                  std::move(bundles), std::move(procs),
+                                  null_adv);
 
   const std::uint64_t before_warmup = allocations();
-  exec.run(rounds);  // warm-up: pools fill, every buffer reaches capacity
+  exec->run(rounds);  // warm-up: pools fill, every buffer reaches capacity
   res.warmup_allocs = allocations() - before_warmup;
 
   const std::uint64_t before = allocations();
   const Clock::time_point start = Clock::now();
-  exec.run(rounds);  // measured steady state: same schedule again
+  exec->run(rounds);  // measured steady state: same schedule again
   res.seconds = seconds_since(start);
   res.allocs = allocations() - before;
-  res.messages = exec.meter().messages_correct / 2;  // measured pass only
-  res.words = exec.meter().words_correct;
+  res.messages = exec->meter().messages_correct / 2;  // measured pass only
+  res.words = exec->meter().words_correct;
   return res;
 }
 

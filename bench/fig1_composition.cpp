@@ -13,6 +13,13 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+
+/// Sender p0 broadcasts 5 in every scenario.
+harness::RunInputs sender0_inputs(std::uint32_t n) {
+  return {kBb.prepare(n, Value(5)), /*sender=*/0};
+}
+
 struct Layers {
   std::uint64_t dissemination = 0;  // Algorithm 1 round 1
   std::uint64_t vetting = 0;        // Algorithm 2 phases
@@ -21,7 +28,7 @@ struct Layers {
   std::uint64_t fallback = 0;       // A_fallback (Momose-Ren box)
 };
 
-Layers attribute(const harness::BbResult& res, std::uint32_t n,
+Layers attribute(const harness::RunReport& res, std::uint32_t n,
                  std::uint32_t t) {
   Layers l;
   const Round wba_first = 3 * n + 2;
@@ -43,32 +50,33 @@ void composition_table() {
   Table tab({"scenario", "dissem.", "vetting (Alg 2)", "weak BA (Alg 3/4)",
              "help+window", "fallback (MR box)", "total", "decision"});
 
-  auto row = [&](const char* name, const harness::BbResult& res) {
+  auto row = [&](const char* name, const harness::RunReport& res) {
     const Layers l = attribute(res, n, t);
     tab.row({name, u64(l.dissemination), u64(l.vetting), u64(l.wba_phases),
              u64(l.help_window), u64(l.fallback),
              u64(res.meter.words_correct),
-             res.decision().is_bottom() ? "⊥" : u64(res.decision().raw)});
+             res.decision().is_bottom() ? "⊥"
+                                        : u64(res.decision().value.raw)});
   };
 
   auto spec = harness::RunSpec::for_t(t);
   {
     adv::NullAdversary a;
-    row("correct sender, f=0", harness::run_bb(spec, 0, Value(5), a));
+    row("correct sender, f=0", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   {
     adv::CrashAdversary a({0});  // sender silent
-    row("silent sender, f=1", harness::run_bb(spec, 0, Value(5), a));
+    row("silent sender, f=1", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   {
     adv::BbEquivocatingSender a(0, spec.instance,
                                 adv::SenderMode::kEquivocate, Value(5),
                                 Value(6));
-    row("equivocating sender", harness::run_bb(spec, 0, Value(5), a));
+    row("equivocating sender", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   {
     adv::CrashAdversary a(first_f(t));  // maximal crash (sender included)
-    row("f = t crash", harness::run_bb(spec, 0, Value(5), a));
+    row("f = t crash", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   tab.print();
   std::printf(
@@ -83,18 +91,18 @@ void words_by_kind() {
   const std::uint32_t t = 10;
   auto spec = harness::RunSpec::for_t(t);
   Table tab({"scenario", "kind", "words"});
-  auto rows_for = [&](const char* scenario, const harness::BbResult& res) {
+  auto rows_for = [&](const char* scenario, const harness::RunReport& res) {
     for (const auto& [kind, words] : res.meter.words_by_kind()) {
       tab.row({scenario, kind, u64(words)});
     }
   };
   {
     adv::NullAdversary a;
-    rows_for("f=0", harness::run_bb(spec, 0, Value(5), a));
+    rows_for("f=0", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   {
     adv::CrashAdversary a({0});
-    rows_for("silent sender", harness::run_bb(spec, 0, Value(5), a));
+    rows_for("silent sender", kBb.run(spec, sender0_inputs(spec.n), a));
   }
   tab.print();
   std::printf(
@@ -110,15 +118,15 @@ void primitive_usage() {
   auto spec = harness::RunSpec::for_t(t);
   {
     adv::NullAdversary a;
-    const auto res = harness::run_bb(spec, 0, Value(5), a);
+    const auto res = kBb.run(spec, sender0_inputs(spec.n), a);
     tab.row({"f=0", "weak BA phase certificate",
              u64(res.any_fallback() ? spec.n : 0)});
   }
   {
     adv::CrashAdversary a(first_f(t));
-    const auto res = harness::run_bb(spec, 0, Value(5), a);
+    const auto res = kBb.run(spec, sender0_inputs(spec.n), a);
     std::uint32_t participants = 0;
-    for (const auto& s : res.stats) {
+    for (const auto& s : res.outcomes) {
       participants += (s && s->fallback_participant) ? 1 : 0;
     }
     tab.row({"f=t", "A_fallback (strong unanimity)", u64(participants)});
@@ -131,7 +139,7 @@ void bm_composed_bb(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = harness::RunSpec::for_t(t);
     adv::NullAdversary a;
-    const auto res = harness::run_bb(spec, 0, Value(5), a);
+    const auto res = kBb.run(spec, sender0_inputs(spec.n), a);
     benchmark::DoNotOptimize(res.meter.words_correct);
   }
   state.counters["n"] = n_for_t(t);

@@ -12,7 +12,10 @@
 namespace mewc::bench {
 namespace {
 
-harness::BbResult run_adaptive(std::uint32_t t, std::uint32_t f,
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kDsBb = *harness::find_driver("ds-bb");
+
+harness::RunReport run_adaptive(std::uint32_t t, std::uint32_t f,
                                bool leader_killer) {
   auto spec = harness::RunSpec::for_t(t);
   const ProcessId sender = spec.n - 1;  // keep early vetting leaders correct
@@ -25,10 +28,10 @@ harness::BbResult run_adaptive(std::uint32_t t, std::uint32_t f,
     parts.push_back(
         std::make_unique<adv::AdaptiveLeaderCrash>(4, 3, spec.n, f - 1));
     adv::Composite adversary(std::move(parts));
-    return harness::run_bb(spec, sender, Value(1), adversary);
+    return kBb.run(spec, {kBb.prepare(spec.n, Value(1)), sender}, adversary);
   }
   adv::CrashAdversary adversary(first_f(f));
-  return harness::run_bb(spec, sender, Value(1), adversary);
+  return kBb.run(spec, {kBb.prepare(spec.n, Value(1)), sender}, adversary);
 }
 
 void words_vs_f() {
@@ -78,8 +81,9 @@ void words_vs_n() {
     const auto n = n_for_t(t);
     adv::NullAdversary a1, a2;
     auto spec = harness::RunSpec::for_t(t);
-    const auto adaptive = harness::run_bb(spec, 0, Value(1), a1);
-    const auto classic = harness::run_ds_bb(spec, 0, Value(1), a2);
+    const auto adaptive = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, a1);
+    const auto classic =
+        kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, a2);
     ns.push_back(n);
     adaptive_words.push_back(static_cast<double>(adaptive.meter.words_correct));
     classic_words.push_back(static_cast<double>(classic.meter.words_correct));

@@ -16,6 +16,9 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kFallbackBa = *harness::find_driver("fallback");
+
 void fallback_cost_vs_n() {
   subheading("A_fallback standalone cost vs n (f = 0, all participate)");
   Table tab({"n", "measured words", "measured/n^3", "modeled MR words",
@@ -25,9 +28,8 @@ void fallback_cost_vs_n() {
     const auto n = n_for_t(t);
     adv::NullAdversary adversary;
     auto spec = harness::RunSpec::for_t(t);
-    const auto res = harness::run_fallback_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(1))),
-        adversary);
+    const auto res = kFallbackBa.run(
+        spec, {kFallbackBa.prepare(spec.n, Value(1))}, adversary);
     ns.push_back(n);
     words.push_back(static_cast<double>(res.meter.words_correct));
     const double n3 = static_cast<double>(n) * n * n;
@@ -53,11 +55,10 @@ void adaptive_vs_always_fallback() {
   for (std::uint32_t f : {0u, 1u, 3u, 5u, 8u, 10u}) {
     auto spec = harness::RunSpec::for_t(t);
     adv::CrashAdversary a1(first_f(f)), a2(first_f(f));
-    const auto adaptive = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), a1);
-    const auto baseline = harness::run_fallback_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))), a2);
+    const auto adaptive =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, a1);
+    const auto baseline =
+        kFallbackBa.run(spec, {kFallbackBa.prepare(spec.n, Value(7))}, a2);
     tab.row({u64(f), u64(adaptive.meter.words_correct),
              u64(baseline.meter.words_correct),
              fixed2(static_cast<double>(baseline.meter.words_correct) /
@@ -80,9 +81,8 @@ void crash_resilience_of_fallback() {
   for (std::uint32_t f : {0u, 2u, 5u, 10u}) {
     auto spec = harness::RunSpec::for_t(t);
     adv::CrashAdversary adversary(first_f(f));
-    const auto res = harness::run_fallback_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-        adversary);
+    const auto res = kFallbackBa.run(
+        spec, {kFallbackBa.prepare(spec.n, Value(3))}, adversary);
     tab.row({u64(f), u64(res.meter.words_correct),
              res.agreement() ? "yes" : "NO"});
   }
@@ -95,9 +95,8 @@ void bm_fallback(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = harness::RunSpec::for_t(t);
     adv::NullAdversary adversary;
-    const auto res = harness::run_fallback_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(1))),
-        adversary);
+    const auto res = kFallbackBa.run(
+        spec, {kFallbackBa.prepare(spec.n, Value(1))}, adversary);
     words = res.meter.words_correct;
     benchmark::DoNotOptimize(words);
   }

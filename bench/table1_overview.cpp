@@ -10,6 +10,12 @@
 namespace mewc::bench {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+const harness::ProtocolDriver& kFallbackBa = *harness::find_driver("fallback");
+const harness::ProtocolDriver& kDsBb = *harness::find_driver("ds-bb");
+
 struct Row {
   std::string protocol;
   std::string claim;
@@ -36,7 +42,8 @@ void overview() {
     auto words_at = [](std::uint32_t t) {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      return harness::run_bb(spec, 0, Value(1), a).meter.words_correct;
+      return kBb.run(
+          spec, {kBb.prepare(spec.n, Value(1)), 0}, a).meter.words_correct;
     };
     const auto fit = fit_over_n(words_at, {5u, 10u, 20u, 40u});
     // f-dependence under the worst-case leader killer at n = 41.
@@ -49,7 +56,8 @@ void overview() {
       parts.push_back(
           std::make_unique<adv::AdaptiveLeaderCrash>(4, 3, spec.n, f - 1));
       adv::Composite a(std::move(parts));
-      const auto res = harness::run_bb(spec, spec.n - 1, Value(1), a);
+      const auto res =
+          kBb.run(spec, {kBb.prepare(spec.n, Value(1)), spec.n - 1}, a);
       fs.push_back(res.f());
       fw.push_back(static_cast<double>(res.meter.words_correct));
     }
@@ -63,10 +71,7 @@ void overview() {
     auto words_at = [](std::uint32_t t) {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      return harness::run_weak_ba(
-                 spec,
-                 std::vector<WireValue>(spec.n, WireValue::plain(Value(1))),
-                 harness::always_valid_factory(), a)
+      return kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(1))}, a)
           .meter.words_correct;
     };
     const auto fit = fit_over_n(words_at, {5u, 10u, 20u, 40u});
@@ -78,8 +83,7 @@ void overview() {
     auto words_at = [](std::uint32_t t) {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      return harness::run_strong_ba(spec,
-                                    std::vector<Value>(spec.n, Value(1)), a)
+      return kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, a)
           .meter.words_correct;
     };
     const auto fit = fit_over_n(words_at, {5u, 10u, 20u, 40u, 100u});
@@ -91,10 +95,7 @@ void overview() {
     auto words_at = [](std::uint32_t t) {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      return harness::run_fallback_ba(
-                 spec,
-                 std::vector<WireValue>(spec.n, WireValue::plain(Value(1))),
-                 a)
+      return kFallbackBa.run(spec, {kFallbackBa.prepare(spec.n, Value(1))}, a)
           .meter.words_correct;
     };
     const auto fit = fit_over_n(words_at, {2u, 5u, 10u, 15u});
@@ -107,7 +108,8 @@ void overview() {
     auto words_at = [](std::uint32_t t) {
       adv::NullAdversary a;
       auto spec = harness::RunSpec::for_t(t);
-      return harness::run_ds_bb(spec, 0, Value(1), a).meter.words_correct;
+      return kDsBb.run(
+          spec, {kDsBb.prepare(spec.n, Value(1)), 0}, a).meter.words_correct;
     };
     const auto fit = fit_over_n(words_at, {5u, 10u, 20u});
     rows.push_back({"Dolev-Strong BB (baseline)", "Θ(n^2) always", fit.slope,

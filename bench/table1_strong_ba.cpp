@@ -12,11 +12,12 @@
 namespace mewc::bench {
 namespace {
 
-harness::SbaResult run_sba(std::uint32_t t, std::uint32_t f) {
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
+harness::RunReport run_sba(std::uint32_t t, std::uint32_t f) {
   auto spec = harness::RunSpec::for_t(t);
   adv::CrashAdversary adversary(first_f(f) /* may include the leader */);
-  return harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)),
-                                adversary);
+  return kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adversary);
 }
 
 void words_vs_n_failure_free() {
@@ -26,8 +27,8 @@ void words_vs_n_failure_free() {
     const auto n = n_for_t(t);
     adv::NullAdversary adversary;
     auto spec = harness::RunSpec::for_t(t);
-    const auto res = harness::run_strong_ba(
-        spec, std::vector<Value>(spec.n, Value(1)), adversary);
+    const auto res =
+        kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adversary);
     tab.row({u64(n), u64(res.meter.words_correct),
              fixed2(static_cast<double>(res.meter.words_correct) / n),
              res.all_fast() ? "yes" : "no",
@@ -61,25 +62,27 @@ void leader_misbehaviour() {
   const std::uint32_t t = 5;
   Table tab({"strategy", "words", "agreement", "decision"});
   auto run_with = [&](const char* name, Adversary& adversary,
-                      std::vector<Value> inputs) {
+                      std::vector<WireValue> inputs) {
     auto spec = harness::RunSpec::for_t(t);
-    const auto res = harness::run_strong_ba(spec, inputs, adversary);
+    const auto res = kStrongBa.run(spec, {std::move(inputs)}, adversary);
     tab.row({name, u64(res.meter.words_correct),
-             res.agreement() ? "yes" : "NO", u64(res.decision().raw)});
+             res.agreement() ? "yes" : "NO", u64(res.decision().value.raw)});
   };
   auto spec = harness::RunSpec::for_t(t);
   {
     adv::Alg5Withhold a(spec.instance, adv::Alg5Mode::kSilent);
-    run_with("silent leader", a, std::vector<Value>(spec.n, Value(1)));
+    run_with("silent leader", a, kStrongBa.prepare(spec.n, Value(1)));
   }
   {
     adv::Alg5Withhold a(spec.instance, adv::Alg5Mode::kHideDecide, 1);
-    run_with("hide decide cert", a, std::vector<Value>(spec.n, Value(1)));
+    run_with("hide decide cert", a, kStrongBa.prepare(spec.n, Value(1)));
   }
   {
     adv::Alg5Withhold a(spec.instance, adv::Alg5Mode::kSplitPropose);
-    std::vector<Value> mixed;
-    for (std::uint32_t i = 0; i < spec.n; ++i) mixed.push_back(Value(i % 2));
+    std::vector<WireValue> mixed;
+    for (std::uint32_t i = 0; i < spec.n; ++i) {
+      mixed.push_back(WireValue::plain(Value(i % 2)));
+    }
     run_with("split propose certs", a, mixed);
   }
   tab.print();

@@ -13,12 +13,12 @@
 namespace mewc::bench {
 namespace {
 
-harness::WbaResult run_wba(std::uint32_t t, std::uint32_t f) {
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
+harness::RunReport run_wba(std::uint32_t t, std::uint32_t f) {
   auto spec = harness::RunSpec::for_t(t);
   adv::CrashAdversary adversary(first_f(f));
-  return harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-      harness::always_valid_factory(), adversary);
+  return kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
 }
 
 void words_vs_f_full_range() {
@@ -58,9 +58,8 @@ void words_vs_f_leader_killer() {
     // Corrupt each upcoming leader after its propose (phase local round 3):
     // every burned phase costs a full O(n).
     adv::AdaptiveLeaderCrash adversary(3, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     tab.row({u64(res.f()), u64(res.meter.words_correct),
              fixed2(static_cast<double>(res.meter.words_correct) /
                     (static_cast<double>(n) * (res.f() + 1))),
@@ -99,9 +98,8 @@ void help_cost_vs_spam() {
     auto spec = harness::RunSpec::for_t(t);
     const Round help_round = 5 * spec.n + 1;
     adv::WbaHelpSpam adversary(spec.instance, help_round, spam, false, 0);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adversary);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adversary);
     const std::uint64_t words =
         res.meter.words_in_rounds(help_round + 1, help_round + 2);
     tab.row({u64(spam), u64(words),

@@ -13,7 +13,10 @@ int main() {
 
   constexpr std::uint32_t kT = 10;  // n = 21
   auto spec = harness::RunSpec::for_t(kT);
-  const ProcessId sender = spec.n - 1;
+  const harness::ProtocolDriver& bb = *harness::find_driver("bb");
+  const harness::ProtocolDriver& ds_bb = *harness::find_driver("ds-bb");
+  const harness::RunInputs inputs{bb.prepare(spec.n, Value(9)),
+                                  /*sender=*/spec.n - 1};
 
   std::printf("adaptive BB (paper) vs Dolev-Strong BB (classic), n = %u\n\n",
               spec.n);
@@ -28,11 +31,11 @@ int main() {
     for (std::uint32_t i = 0; i < f; ++i) victims.push_back(i);
 
     adv::CrashAdversary a1(victims), a2(victims);
-    const auto adaptive = harness::run_bb(spec, sender, Value(9), a1);
-    const auto classic = harness::run_ds_bb(spec, sender, Value(9), a2);
+    const auto adaptive = bb.run(spec, inputs, a1);
+    const auto classic = ds_bb.run(spec, inputs, a2);
 
-    all_valid &= adaptive.agreement() && adaptive.decision() == Value(9);
-    all_valid &= classic.agreement() && classic.decision() == Value(9);
+    all_valid &= adaptive.agreement() && adaptive.decision().value == Value(9);
+    all_valid &= classic.agreement() && classic.decision().value == Value(9);
 
     std::printf("%4u | %14llu | %16llu | %6.1fx\n", f,
                 static_cast<unsigned long long>(adaptive.meter.words_correct),

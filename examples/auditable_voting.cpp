@@ -51,7 +51,8 @@ int run_round(const char* title, std::uint32_t f_crash, bool split_ballots) {
   for (std::uint32_t i = 0; i < f_crash; ++i) victims.push_back(i);
   adv::CrashAdversary adversary(victims);
 
-  const auto res = harness::run_weak_ba(spec, ballots, factory, adversary);
+  const auto res = harness::find_driver("weak-ba")->run(
+      spec, {.values = ballots, .predicate = factory}, adversary);
   const WireValue outcome = res.decision();
 
   std::printf("crashed members: %u, agreement: %s\n", res.f(),

@@ -21,11 +21,15 @@ int main() {
               spec.n, spec.t);
 
   // Local readings; node 3 is down.
-  std::vector<Value> readings = {Value(210), Value(195), Value(230),
-                                 Value(999) /*never heard*/, Value(204)};
+  harness::RunInputs readings;
+  for (const std::uint64_t reading :
+       {210, 195, 230, 999 /*never heard*/, 204}) {
+    readings.values.push_back(WireValue::plain(Value(reading)));
+  }
   adv::CrashAdversary node3_down({3});
 
-  const harness::IcResult res = harness::run_ic(spec, readings, node3_down);
+  const harness::RunReport res =
+      harness::find_driver("ic")->run(spec, readings, node3_down);
 
   std::printf("agreement on the snapshot vector: %s\n",
               res.agreement() ? "yes" : "NO");

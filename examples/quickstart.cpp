@@ -18,22 +18,28 @@ int main() {
   std::printf("system: n = %u processes, t = %u tolerated faults\n", spec.n,
               spec.t);
 
-  // Process 2 broadcasts the value 1234. No process actually misbehaves in
-  // this run (try the other examples for Byzantine senders).
+  // Every protocol runs through its registered driver. Process 2
+  // broadcasts the value 1234; only the sender's entry of the inputs is
+  // read. No process actually misbehaves in this run (try the other
+  // examples for Byzantine senders).
+  const harness::ProtocolDriver& bb = *harness::find_driver("bb");
+  harness::RunInputs inputs;
+  inputs.values = bb.prepare(spec.n, Value(1234));
+  inputs.sender = 2;
   adv::NullAdversary nobody_misbehaves;
-  const harness::BbResult res =
-      harness::run_bb(spec, /*sender=*/2, Value(1234), nobody_misbehaves);
+  const harness::RunReport res = bb.run(spec, inputs, nobody_misbehaves);
 
   // Every correct process decided the sender's value.
   for (ProcessId p = 0; p < spec.n; ++p) {
-    if (!res.stats[p]) continue;
-    std::printf("process %u decided %llu\n", p,
-                static_cast<unsigned long long>(res.stats[p]->decision.raw));
+    if (!res.outcomes[p]) continue;
+    std::printf(
+        "process %u decided %llu\n", p,
+        static_cast<unsigned long long>(res.outcomes[p]->decision.value.raw));
   }
 
   std::printf("\nagreement: %s, decision = %llu\n",
               res.agreement() ? "yes" : "NO",
-              static_cast<unsigned long long>(res.decision().raw));
+              static_cast<unsigned long long>(res.decision().value.raw));
   std::printf("words sent by correct processes: %llu (%.1f per process)\n",
               static_cast<unsigned long long>(res.meter.words_correct),
               static_cast<double>(res.meter.words_correct) / spec.n);

@@ -2,84 +2,15 @@
 
 #include <algorithm>
 
+#include "ba/baseline/baselines.hpp"
+#include "ba/bb/bb.hpp"
 #include "ba/fallback/fallback_process.hpp"
+#include "ba/strong_ba/strong_ba.hpp"
 #include "ba/vector/interactive_consistency.hpp"
+#include "ba/weak_ba/weak_ba.hpp"
 #include "wire/codec.hpp"
 
 namespace mewc::harness {
-
-namespace {
-
-/// Shared run skeleton: builds (or fetches) the setup, processes via
-/// `make`, runs `rounds`, and extracts per-process results via `collect`.
-template <typename Proc, typename Result, typename MakeFn, typename CollectFn>
-Result run_protocol(const RunSpec& spec, Round rounds, Adversary& adversary,
-                    MakeFn make, CollectFn collect) {
-  std::optional<ThresholdFamily> owned;
-  ThresholdFamily* fam = nullptr;
-  if (spec.setup_cache != nullptr) {
-    fam = &spec.setup_cache->family(spec.n, spec.t, spec.backend, spec.seed);
-    // Cached families accumulate issuance across runs; per-run signature
-    // counts must match a fresh family's, so start every run from zero.
-    fam->pki().reset_signature_counters();
-  } else {
-    owned.emplace(spec.n, spec.t, spec.backend, spec.seed);
-    fam = &*owned;
-  }
-  ThresholdFamily& family = *fam;
-
-  std::vector<KeyBundle> bundles;
-  bundles.reserve(spec.n);
-  for (ProcessId p = 0; p < spec.n; ++p) {
-    bundles.push_back(family.issue_bundle(p));
-  }
-  if (spec.on_setup) spec.on_setup(family);
-
-  std::vector<std::unique_ptr<IProcess>> processes;
-  processes.reserve(spec.n);
-  for (ProcessId p = 0; p < spec.n; ++p) {
-    ProtocolContext ctx;
-    ctx.id = p;
-    ctx.n = spec.n;
-    ctx.t = spec.t;
-    ctx.instance = spec.instance;
-    ctx.crypto = &family;
-    ctx.keys = &bundles[p];
-    processes.push_back(make(ctx, family));
-  }
-
-  ExecutorHooks hooks;
-  if (spec.codec_roundtrip) hooks.transform = wire::roundtrip;
-  hooks.recorder = spec.recorder;
-  const std::unique_ptr<IExecutor> exec =
-      make_executor(spec.executor, family, std::move(bundles),
-                    std::move(processes), adversary, std::move(hooks));
-  exec->run(rounds);
-  if (spec.on_teardown) spec.on_teardown(family);
-
-  Result res;
-  res.meter = exec->meter();
-  res.corrupted = exec->corrupted();
-  res.signatures_issued = family.pki().signatures_issued();
-  res.rounds = rounds;
-  for (ProcessId p = 0; p < spec.n; ++p) {
-    if (exec->is_corrupted(p)) {
-      collect(res, p, nullptr);
-    } else {
-      collect(res, p, static_cast<const Proc*>(&exec->process(p)));
-    }
-  }
-  return res;
-}
-
-template <typename Stats>
-bool stats_all_decided(const std::vector<std::optional<Stats>>& stats) {
-  return std::all_of(stats.begin(), stats.end(), [](const auto& s) {
-    return !s.has_value() || s->decided;
-  });
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SetupCache + RunSpec
@@ -125,46 +56,33 @@ std::string RunSpec::describe() const {
   return s;
 }
 
-bool RunOutcome::is_corrupted(ProcessId p) const {
-  return std::find(corrupted.begin(), corrupted.end(), p) != corrupted.end();
-}
-
 // ---------------------------------------------------------------------------
 // RunReport
 // ---------------------------------------------------------------------------
 
+bool RunReport::is_corrupted(ProcessId p) const {
+  return std::find(corrupted.begin(), corrupted.end(), p) != corrupted.end();
+}
+
 bool RunReport::all_decided() const {
-  if (!vectors.empty()) {
-    for (ProcessId p = 0; p < vectors.size(); ++p) {
-      if (!is_corrupted(p) && !vectors[p].has_value()) return false;
-    }
-    return true;
-  }
-  for (ProcessId p = 0; p < decided.size(); ++p) {
-    if (!is_corrupted(p) && !decided[p]) return false;
-  }
-  return true;
+  return std::all_of(outcomes.begin(), outcomes.end(),
+                     [](const auto& o) { return !o || o->decided; });
 }
 
 bool RunReport::agreement() const {
-  if (!vectors.empty()) {
-    const std::vector<Value>* seen = nullptr;
-    for (const auto& v : vectors) {
-      if (!v) continue;
-      if (seen == nullptr) {
-        seen = &*v;
-      } else if (*seen != *v) {
-        return false;
-      }
+  const ProcessOutcome* first = nullptr;
+  const std::vector<Value>* seen_vector = nullptr;
+  for (const auto& o : outcomes) {
+    if (!o) continue;
+    if (first == nullptr) {
+      first = &*o;
+    } else if (!(first->decision == o->decision)) {
+      return false;
     }
-    return true;
-  }
-  std::optional<WireValue> seen;
-  for (ProcessId p = 0; p < decisions.size(); ++p) {
-    if (is_corrupted(p)) continue;
-    if (!seen) {
-      seen = decisions[p];
-    } else if (!(*seen == decisions[p])) {
+    if (!o->vector) continue;
+    if (seen_vector == nullptr) {
+      seen_vector = &*o->vector;
+    } else if (*seen_vector != *o->vector) {
       return false;
     }
   }
@@ -172,17 +90,41 @@ bool RunReport::agreement() const {
 }
 
 WireValue RunReport::decision() const {
-  for (ProcessId p = 0; p < decisions.size(); ++p) {
-    if (!is_corrupted(p)) return decisions[p];
+  for (const auto& o : outcomes) {
+    if (o) return o->decision;
   }
   return bottom_value();
 }
 
 std::vector<Value> RunReport::vector() const {
-  for (const auto& v : vectors) {
-    if (v) return *v;
+  for (const auto& o : outcomes) {
+    if (o && o->vector) return *o->vector;
   }
   return {};
+}
+
+bool RunReport::any_fallback() const {
+  return std::any_of(outcomes.begin(), outcomes.end(), [](const auto& o) {
+    return o && o->fallback_participant;
+  });
+}
+
+bool RunReport::all_fast() const {
+  return std::all_of(outcomes.begin(), outcomes.end(),
+                     [](const auto& o) { return !o || o->decided_fast; });
+}
+
+std::uint32_t RunReport::nonsilent_leaders() const {
+  return static_cast<std::uint32_t>(
+      std::count_if(outcomes.begin(), outcomes.end(), [](const auto& o) {
+        return o && o->led_nonsilent_phase;
+      }));
+}
+
+std::uint32_t RunReport::help_reqs() const {
+  return static_cast<std::uint32_t>(
+      std::count_if(outcomes.begin(), outcomes.end(),
+                    [](const auto& o) { return o && o->sent_help_req; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -196,18 +138,76 @@ std::vector<WireValue> ProtocolDriver::prepare(std::uint32_t n,
   return std::vector<WireValue>(n, WireValue::plain(v));
 }
 
-namespace {
+RunReport ProtocolDriver::run(const RunSpec& spec, const RunInputs& inputs,
+                              Adversary& adversary) const {
+  MEWC_CHECK(inputs.values.size() == spec.n);
+  if (traits().single_sender) {
+    MEWC_CHECK_MSG(inputs.sender < spec.n,
+                   "single-sender protocols need a designated sender");
+  }
 
-void fill_common(RunReport& r, const RunOutcome& o, const char* name,
-                 std::uint32_t n) {
-  r.protocol = name;
-  r.meter = o.meter;
-  r.corrupted = o.corrupted;
-  r.signatures_issued = o.signatures_issued;
-  r.rounds = o.rounds;
-  r.decided.assign(n, false);
-  r.decisions.assign(n, bottom_value());
+  std::optional<ThresholdFamily> owned;
+  ThresholdFamily* fam = nullptr;
+  if (spec.setup_cache != nullptr) {
+    fam = &spec.setup_cache->family(spec.n, spec.t, spec.backend, spec.seed);
+    // Cached families accumulate issuance across runs; per-run signature
+    // counts must match a fresh family's, so start every run from zero.
+    fam->pki().reset_signature_counters();
+  } else {
+    owned.emplace(spec.n, spec.t, spec.backend, spec.seed);
+    fam = &*owned;
+  }
+  ThresholdFamily& family = *fam;
+
+  std::vector<KeyBundle> bundles;
+  bundles.reserve(spec.n);
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    bundles.push_back(family.issue_bundle(p));
+  }
+  if (spec.on_setup) spec.on_setup(family);
+
+  std::vector<std::unique_ptr<IProcess>> processes;
+  processes.reserve(spec.n);
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    ProtocolContext ctx;
+    ctx.id = p;
+    ctx.n = spec.n;
+    ctx.t = spec.t;
+    ctx.instance = spec.instance;
+    ctx.crypto = &family;
+    ctx.keys = &bundles[p];
+    processes.push_back(make_process(ctx, inputs));
+  }
+
+  const Round rounds = total_rounds(spec.n, spec.t);
+  ExecutorHooks hooks;
+  if (spec.codec_roundtrip) hooks.transform = wire::roundtrip;
+  hooks.recorder = spec.recorder;
+  const std::unique_ptr<IExecutor> exec =
+      make_executor(spec.executor, family, std::move(bundles),
+                    std::move(processes), adversary, std::move(hooks));
+  exec->run(rounds);
+  if (spec.on_teardown) spec.on_teardown(family);
+
+  RunReport r;
+  r.protocol = name();
+  if (traits().single_sender) r.sender = inputs.sender;
+  r.meter = exec->meter();
+  r.corrupted = exec->corrupted();
+  r.signatures_issued = family.pki().signatures_issued();
+  r.rounds = rounds;
+  r.outcomes.reserve(spec.n);
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    if (exec->is_corrupted(p)) {
+      r.outcomes.emplace_back();
+    } else {
+      r.outcomes.emplace_back(outcome(exec->process(p)));
+    }
+  }
+  return r;
 }
+
+namespace {
 
 class BbDriver final : public ProtocolDriver {
  public:
@@ -229,24 +229,21 @@ class BbDriver final : public ProtocolDriver {
     // BB embeds a weak BA starting after dissemination + n vetting phases.
     return 1 + 3 * n + 5 * n + 1;
   }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    MEWC_CHECK_MSG(inputs.sender < spec.n, "bb needs a designated sender");
-    MEWC_CHECK(inputs.values.size() == spec.n);
-    const BbResult res = run_bb(spec, inputs.sender,
-                                inputs.values[inputs.sender].value, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    r.sender = res.sender;
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      if (const auto& s = res.stats[p]) {
-        r.decided[p] = s->decided;
-        r.decisions[p] = WireValue::plain(s->decision);
-      }
-    }
-    r.any_fallback = res.any_fallback();
-    r.nonsilent_leaders = res.nonsilent_leaders();
-    return r;
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    return std::make_unique<bb::BbProcess>(ctx, inputs.sender,
+                                           inputs.values[inputs.sender].value);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    const bb::BbStats& s = static_cast<const bb::BbProcess&>(process).stats();
+    ProcessOutcome o;
+    o.decided = s.decided;
+    o.decision = WireValue::plain(s.decision);
+    o.decided_round = s.decided_round;
+    o.adopted_from_sender = s.adopted_from_sender;
+    o.fallback_participant = s.fallback_participant;
+    o.led_nonsilent_phase = s.led_nonsilent_phase;
+    return o;
   }
 };
 
@@ -264,24 +261,29 @@ class WbaDriver final : public ProtocolDriver {
     return wba::WeakBaProcess::total_rounds(n, t);
   }
   Round help_round(std::uint32_t n) const override { return 5 * n + 1; }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    const PredicateFactory predicate =
-        inputs.predicate ? inputs.predicate : always_valid_factory();
-    const WbaResult res =
-        run_weak_ba(spec, inputs.values, predicate, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      if (const auto& s = res.stats[p]) {
-        r.decided[p] = s->decided;
-        r.decisions[p] = s->decision;
-      }
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    std::shared_ptr<const ValidityPredicate> predicate;
+    if (inputs.predicate) {
+      predicate = inputs.predicate(*ctx.crypto, ctx.instance);
+    } else {
+      predicate = std::make_shared<const AlwaysValid>();
     }
-    r.any_fallback = res.any_fallback();
-    r.nonsilent_leaders = res.nonsilent_leaders();
-    r.help_reqs = res.help_reqs_sent();
-    return r;
+    return std::make_unique<wba::WeakBaProcess>(ctx, std::move(predicate),
+                                                inputs.values[ctx.id]);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    const wba::WbaStats& s =
+        static_cast<const wba::WeakBaProcess&>(process).stats();
+    ProcessOutcome o;
+    o.decided = s.decided;
+    o.decision = s.decision;
+    o.decided_round = s.decided_round;
+    o.decided_phase = s.decided_phase;
+    o.fallback_participant = s.fallback_participant;
+    o.led_nonsilent_phase = s.led_nonsilent_phase;
+    o.sent_help_req = s.sent_help_req;
+    return o;
   }
 };
 
@@ -296,23 +298,21 @@ class SbaDriver final : public ProtocolDriver {
   Round total_rounds(std::uint32_t, std::uint32_t t) const override {
     return sba::StrongBaProcess::total_rounds(t);
   }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    std::vector<Value> values;
-    values.reserve(inputs.values.size());
-    for (const auto& w : inputs.values) values.push_back(w.value);
-    const SbaResult res = run_strong_ba(spec, values, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      if (const auto& s = res.stats[p]) {
-        r.decided[p] = s->decided;
-        r.decisions[p] = WireValue::plain(s->decision);
-      }
-    }
-    r.any_fallback = res.any_fallback();
-    r.all_fast = res.all_fast();
-    return r;
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    return std::make_unique<sba::StrongBaProcess>(ctx,
+                                                  inputs.values[ctx.id].value);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    const sba::SbaStats& s =
+        static_cast<const sba::StrongBaProcess&>(process).stats();
+    ProcessOutcome o;
+    o.decided = s.decided;
+    o.decision = WireValue::plain(s.decision);
+    o.decided_round = s.decided_round;
+    o.decided_fast = s.decided_fast;
+    o.fallback_participant = s.fallback_participant;
+    return o;
   }
 };
 
@@ -323,18 +323,18 @@ class FallbackDriver final : public ProtocolDriver {
   Round total_rounds(std::uint32_t, std::uint32_t t) const override {
     return fallback::FallbackBaProcess::total_rounds(t);
   }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    const FallbackResult res = run_fallback_ba(spec, inputs.values, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      if (const auto& d = res.decisions[p]) {
-        r.decided[p] = true;
-        r.decisions[p] = *d;
-      }
-    }
-    return r;
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    return std::make_unique<fallback::FallbackBaProcess>(
+        ctx, inputs.values[ctx.id]);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    // A_fallback always decides by its last round.
+    ProcessOutcome o;
+    o.decided = true;
+    o.decision =
+        static_cast<const fallback::FallbackBaProcess&>(process).decision();
+    return o;
   }
 };
 
@@ -349,22 +349,19 @@ class DsBbDriver final : public ProtocolDriver {
   Round total_rounds(std::uint32_t, std::uint32_t t) const override {
     return baseline::DolevStrongBbProcess::total_rounds(t);
   }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    MEWC_CHECK_MSG(inputs.sender < spec.n, "ds-bb needs a designated sender");
-    MEWC_CHECK(inputs.values.size() == spec.n);
-    const DsBbResult res = run_ds_bb(
-        spec, inputs.sender, inputs.values[inputs.sender].value, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    r.sender = inputs.sender;
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      if (const auto& d = res.decisions[p]) {
-        r.decided[p] = true;
-        r.decisions[p] = WireValue::plain(*d);
-      }
-    }
-    return r;
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    return std::make_unique<baseline::DolevStrongBbProcess>(
+        ctx, inputs.sender, inputs.values[inputs.sender].value);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    // Dolev-Strong always decides by its last round.
+    ProcessOutcome o;
+    o.decided = true;
+    o.decision = WireValue::plain(
+        static_cast<const baseline::DolevStrongBbProcess&>(process)
+            .decision());
+    return o;
   }
 };
 
@@ -379,19 +376,19 @@ class IcDriver final : public ProtocolDriver {
   Round total_rounds(std::uint32_t n, std::uint32_t t) const override {
     return ic::InteractiveConsistencyProcess::total_rounds(n, t);
   }
-  RunReport run(const RunSpec& spec, const RunInputs& inputs,
-                Adversary& adversary) const override {
-    std::vector<Value> values;
-    values.reserve(inputs.values.size());
-    for (const auto& w : inputs.values) values.push_back(w.value);
-    const IcResult res = run_ic(spec, values, adversary);
-    RunReport r;
-    fill_common(r, res, name(), spec.n);
-    r.vectors = res.vectors;
-    for (ProcessId p = 0; p < spec.n; ++p) {
-      r.decided[p] = res.vectors[p].has_value();
-    }
-    return r;
+  std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const override {
+    return std::make_unique<ic::InteractiveConsistencyProcess>(
+        ctx, inputs.values[ctx.id].value);
+  }
+  ProcessOutcome outcome(const IProcess& process) const override {
+    const ic::IcStats& s =
+        static_cast<const ic::InteractiveConsistencyProcess&>(process)
+            .stats();
+    ProcessOutcome o;
+    o.decided = s.decided;
+    if (s.decided) o.vector = s.vector;
+    return o;
   }
 };
 
@@ -415,297 +412,6 @@ const ProtocolDriver* find_driver(std::string_view name) {
     if (name == d->name()) return d;
   }
   return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// BB
-// ---------------------------------------------------------------------------
-
-BbResult run_bb(const RunSpec& spec, ProcessId sender, Value sender_input,
-                Adversary& adversary) {
-  auto res = run_protocol<bb::BbProcess, BbResult>(
-      spec, bb::BbProcess::total_rounds(spec.n, spec.t), adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily&) {
-        return std::make_unique<bb::BbProcess>(ctx, sender, sender_input);
-      },
-      [](BbResult& r, ProcessId, const bb::BbProcess* p) {
-        r.stats.push_back(p ? std::optional(p->stats()) : std::nullopt);
-      });
-  res.sender = sender;
-  return res;
-}
-
-bool BbResult::all_decided() const { return stats_all_decided(stats); }
-
-bool BbResult::agreement() const {
-  std::optional<Value> seen;
-  for (const auto& s : stats) {
-    if (!s) continue;
-    if (!seen) {
-      seen = s->decision;
-    } else if (*seen != s->decision) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Value BbResult::decision() const {
-  for (const auto& s : stats) {
-    if (s) return s->decision;
-  }
-  return kBottom;
-}
-
-std::uint32_t BbResult::nonsilent_leaders() const {
-  std::uint32_t c = 0;
-  for (const auto& s : stats) c += (s && s->led_nonsilent_phase) ? 1 : 0;
-  return c;
-}
-
-bool BbResult::any_fallback() const {
-  return std::any_of(stats.begin(), stats.end(), [](const auto& s) {
-    return s && s->fallback_participant;
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Weak BA
-// ---------------------------------------------------------------------------
-
-PredicateFactory always_valid_factory() {
-  return [](const ThresholdFamily&, std::uint64_t) {
-    return std::make_shared<const AlwaysValid>();
-  };
-}
-
-WbaResult run_weak_ba(const RunSpec& spec,
-                      const std::vector<WireValue>& inputs,
-                      const PredicateFactory& predicate,
-                      Adversary& adversary) {
-  MEWC_CHECK(inputs.size() == spec.n);
-  return run_protocol<wba::WeakBaProcess, WbaResult>(
-      spec, wba::WeakBaProcess::total_rounds(spec.n, spec.t), adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily& fam) {
-        return std::make_unique<wba::WeakBaProcess>(
-            ctx, predicate(fam, spec.instance), inputs[ctx.id]);
-      },
-      [](WbaResult& r, ProcessId, const wba::WeakBaProcess* p) {
-        r.stats.push_back(p ? std::optional(p->stats()) : std::nullopt);
-      });
-}
-
-bool WbaResult::all_decided() const { return stats_all_decided(stats); }
-
-bool WbaResult::agreement() const {
-  std::optional<WireValue> seen;
-  for (const auto& s : stats) {
-    if (!s) continue;
-    if (!seen) {
-      seen = s->decision;
-    } else if (!(*seen == s->decision)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-WireValue WbaResult::decision() const {
-  for (const auto& s : stats) {
-    if (s) return s->decision;
-  }
-  return bottom_value();
-}
-
-std::uint32_t WbaResult::nonsilent_leaders() const {
-  std::uint32_t c = 0;
-  for (const auto& s : stats) c += (s && s->led_nonsilent_phase) ? 1 : 0;
-  return c;
-}
-
-bool WbaResult::any_fallback() const {
-  return std::any_of(stats.begin(), stats.end(), [](const auto& s) {
-    return s && s->fallback_participant;
-  });
-}
-
-std::uint32_t WbaResult::help_reqs_sent() const {
-  std::uint32_t c = 0;
-  for (const auto& s : stats) c += (s && s->sent_help_req) ? 1 : 0;
-  return c;
-}
-
-// ---------------------------------------------------------------------------
-// Strong BA (Algorithm 5)
-// ---------------------------------------------------------------------------
-
-SbaResult run_strong_ba(const RunSpec& spec, const std::vector<Value>& inputs,
-                        Adversary& adversary) {
-  MEWC_CHECK(inputs.size() == spec.n);
-  return run_protocol<sba::StrongBaProcess, SbaResult>(
-      spec, sba::StrongBaProcess::total_rounds(spec.t), adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily&) {
-        return std::make_unique<sba::StrongBaProcess>(ctx, inputs[ctx.id]);
-      },
-      [](SbaResult& r, ProcessId, const sba::StrongBaProcess* p) {
-        r.stats.push_back(p ? std::optional(p->stats()) : std::nullopt);
-      });
-}
-
-bool SbaResult::all_decided() const { return stats_all_decided(stats); }
-
-bool SbaResult::agreement() const {
-  std::optional<Value> seen;
-  for (const auto& s : stats) {
-    if (!s) continue;
-    if (!seen) {
-      seen = s->decision;
-    } else if (*seen != s->decision) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Value SbaResult::decision() const {
-  for (const auto& s : stats) {
-    if (s) return s->decision;
-  }
-  return kBottom;
-}
-
-bool SbaResult::any_fallback() const {
-  return std::any_of(stats.begin(), stats.end(), [](const auto& s) {
-    return s && s->fallback_participant;
-  });
-}
-
-bool SbaResult::all_fast() const {
-  return std::all_of(stats.begin(), stats.end(), [](const auto& s) {
-    return !s.has_value() || s->decided_fast;
-  });
-}
-
-// ---------------------------------------------------------------------------
-// A_fallback standalone + Dolev-Strong BB baseline
-// ---------------------------------------------------------------------------
-
-FallbackResult run_fallback_ba(const RunSpec& spec,
-                               const std::vector<WireValue>& inputs,
-                               Adversary& adversary) {
-  MEWC_CHECK(inputs.size() == spec.n);
-  return run_protocol<fallback::FallbackBaProcess, FallbackResult>(
-      spec, fallback::FallbackBaProcess::total_rounds(spec.t), adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily&) {
-        return std::make_unique<fallback::FallbackBaProcess>(ctx,
-                                                             inputs[ctx.id]);
-      },
-      [](FallbackResult& r, ProcessId, const fallback::FallbackBaProcess* p) {
-        r.decisions.push_back(p ? std::optional(p->decision()) : std::nullopt);
-      });
-}
-
-bool FallbackResult::agreement() const {
-  std::optional<WireValue> seen;
-  for (const auto& d : decisions) {
-    if (!d) continue;
-    if (!seen) {
-      seen = *d;
-    } else if (!(*seen == *d)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-WireValue FallbackResult::decision() const {
-  for (const auto& d : decisions) {
-    if (d) return *d;
-  }
-  return bottom_value();
-}
-
-DsBbResult run_ds_bb(const RunSpec& spec, ProcessId sender, Value sender_input,
-                     Adversary& adversary) {
-  return run_protocol<baseline::DolevStrongBbProcess, DsBbResult>(
-      spec, baseline::DolevStrongBbProcess::total_rounds(spec.t), adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily&) {
-        return std::make_unique<baseline::DolevStrongBbProcess>(ctx, sender,
-                                                                sender_input);
-      },
-      [](DsBbResult& r, ProcessId, const baseline::DolevStrongBbProcess* p) {
-        r.decisions.push_back(p ? std::optional(p->decision()) : std::nullopt);
-      });
-}
-
-bool DsBbResult::agreement() const {
-  std::optional<Value> seen;
-  for (const auto& d : decisions) {
-    if (!d) continue;
-    if (!seen) {
-      seen = *d;
-    } else if (*seen != *d) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Value DsBbResult::decision() const {
-  for (const auto& d : decisions) {
-    if (d) return *d;
-  }
-  return kBottom;
-}
-
-// ---------------------------------------------------------------------------
-// Interactive consistency
-// ---------------------------------------------------------------------------
-
-IcResult run_ic(const RunSpec& spec, const std::vector<Value>& inputs,
-                Adversary& adversary) {
-  MEWC_CHECK(inputs.size() == spec.n);
-  return run_protocol<ic::InteractiveConsistencyProcess, IcResult>(
-      spec, ic::InteractiveConsistencyProcess::total_rounds(spec.n, spec.t),
-      adversary,
-      [&](const ProtocolContext& ctx, const ThresholdFamily&) {
-        return std::make_unique<ic::InteractiveConsistencyProcess>(
-            ctx, inputs[ctx.id]);
-      },
-      [](IcResult& r, ProcessId, const ic::InteractiveConsistencyProcess* p) {
-        if (p != nullptr && p->stats().decided) {
-          r.vectors.push_back(p->stats().vector);
-        } else {
-          r.vectors.push_back(std::nullopt);
-        }
-      });
-}
-
-bool IcResult::all_decided() const {
-  for (ProcessId p = 0; p < vectors.size(); ++p) {
-    if (!is_corrupted(p) && !vectors[p].has_value()) return false;
-  }
-  return true;
-}
-
-bool IcResult::agreement() const {
-  const std::vector<Value>* seen = nullptr;
-  for (const auto& v : vectors) {
-    if (!v) continue;
-    if (seen == nullptr) {
-      seen = &*v;
-    } else if (*seen != *v) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Value> IcResult::vector() const {
-  for (const auto& v : vectors) {
-    if (v) return *v;
-  }
-  return {};
 }
 
 }  // namespace mewc::harness

@@ -3,16 +3,10 @@
 // schedule against an adversary, and collects decisions, stats and the word
 // meter. Used by tests, benches, tools and the SMR engine alike.
 //
-// Two API layers live here:
-//
-//  * ProtocolDriver — the uniform entry point. One polymorphic driver per
-//    protocol (name-keyed registry), one RunInputs shape in, one RunReport
-//    shape out. All dispatch in tools/ and src/check/ goes through this.
-//  * run_bb / run_weak_ba / ... — the original per-protocol entry points
-//    with their per-protocol result structs. DEPRECATED: these remain as
-//    thin adapters for one release (the drivers are implemented on top of
-//    them, so behaviour is bit-identical); new code should resolve a
-//    driver via harness::find_driver / harness::drivers instead.
+// Every protocol sits behind one ProtocolDriver (name-keyed registry): the
+// driver knows how to build a process from uniform RunInputs and how to read
+// a finished process's outcome; ProtocolDriver::run() is the one shared run
+// skeleton around those two hooks, returning one RunReport shape.
 #pragma once
 
 #include <functional>
@@ -23,10 +17,9 @@
 #include <string_view>
 #include <vector>
 
-#include "ba/baseline/baselines.hpp"
-#include "ba/bb/bb.hpp"
-#include "ba/strong_ba/strong_ba.hpp"
-#include "ba/weak_ba/weak_ba.hpp"
+#include "ba/context.hpp"
+#include "ba/validity/predicate.hpp"
+#include "ba/value.hpp"
 #include "sim/executor.hpp"
 
 namespace mewc::harness {
@@ -115,21 +108,6 @@ struct RunSpec {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Fields common to every protocol run.
-struct RunOutcome {
-  /// Copied from the executor at run end; breakdowns grow on demand, so a
-  /// default-constructed meter never silently drops attribution.
-  Meter meter;
-  std::vector<ProcessId> corrupted;
-  std::uint64_t signatures_issued = 0;
-  Round rounds = 0;
-
-  [[nodiscard]] std::uint32_t f() const {
-    return static_cast<std::uint32_t>(corrupted.size());
-  }
-  [[nodiscard]] bool is_corrupted(ProcessId p) const;
-};
-
 // ---------------------------------------------------------------------------
 // Unified driver API
 // ---------------------------------------------------------------------------
@@ -138,8 +116,6 @@ struct RunOutcome {
 using PredicateFactory = std::function<std::shared_ptr<const ValidityPredicate>(
     const ThresholdFamily&, std::uint64_t instance)>;
 
-[[nodiscard]] PredicateFactory always_valid_factory();
-
 /// Uniform inputs for any protocol. `values[i]` is process i's proposal;
 /// single-sender protocols (BB, ds-BB) read only `values[sender]`. The
 /// predicate factory applies to external-validity protocols (weak BA) and
@@ -147,34 +123,61 @@ using PredicateFactory = std::function<std::shared_ptr<const ValidityPredicate>(
 struct RunInputs {
   std::vector<WireValue> values;
   ProcessId sender = kNoProcess;
-  PredicateFactory predicate;
+  PredicateFactory predicate = nullptr;
 };
 
-/// Uniform outcome of any protocol run: the shared RunOutcome fields plus
-/// per-process decisions and the cross-protocol observables. Subsumes
-/// BbResult / WbaResult / SbaResult / FallbackResult / DsBbResult /
-/// IcResult; fields a protocol does not produce keep their defaults.
-struct RunReport : RunOutcome {
+/// One process's outcome: its decision plus the per-protocol observables
+/// the tests and tools read. Fields a protocol does not produce keep their
+/// defaults.
+struct ProcessOutcome {
+  bool decided = false;
+  WireValue decision = bottom_value();  // bottom where !decided
+  /// Vector-consensus lane (interactive consistency): the agreed vector,
+  /// present once decided. nullopt for scalar protocols.
+  std::optional<std::vector<Value>> vector;
+  Round decided_round = 0;           // first round with a final decision
+  std::uint64_t decided_phase = 0;   // weak BA: 0 if not during the phases
+  bool decided_fast = false;         // strong BA: via the decide certificate
+  bool adopted_from_sender = false;  // BB: adopted the sender's value
+  bool fallback_participant = false;
+  bool led_nonsilent_phase = false;  // rotating-phase protocols
+  bool sent_help_req = false;        // weak BA help round
+
+  friend bool operator==(const ProcessOutcome&,
+                         const ProcessOutcome&) = default;
+};
+
+/// Uniform outcome of any protocol run.
+struct RunReport {
   std::string protocol;           // driver name
   ProcessId sender = kNoProcess;  // designated sender (single-sender only)
-  std::vector<bool> decided;      // per process; false for corrupted
-  std::vector<WireValue> decisions;  // bottom where !decided
-  /// Vector-consensus lane (interactive consistency): per-process agreed
-  /// vectors. Empty for scalar protocols.
-  std::vector<std::optional<std::vector<Value>>> vectors;
-  bool any_fallback = false;
-  bool all_fast = true;               // strong BA: everyone decided fast
-  std::uint32_t nonsilent_leaders = 0;  // rotating-phase protocols
-  std::uint32_t help_reqs = 0;          // weak BA help requests sent
+  /// Copied from the executor at run end; breakdowns grow on demand, so a
+  /// default-constructed meter never silently drops attribution.
+  Meter meter;
+  std::vector<ProcessId> corrupted;
+  std::uint64_t signatures_issued = 0;
+  Round rounds = 0;
+  /// Per process; nullopt for corrupted processes.
+  std::vector<std::optional<ProcessOutcome>> outcomes;
 
+  [[nodiscard]] std::uint32_t f() const {
+    return static_cast<std::uint32_t>(corrupted.size());
+  }
+  [[nodiscard]] bool is_corrupted(ProcessId p) const;
   /// Every correct process decided (vector protocols: holds a vector).
   [[nodiscard]] bool all_decided() const;
   /// All correct decisions (and vectors) agree.
   [[nodiscard]] bool agreement() const;
-  /// The common decision; bottom when nobody decided.
+  /// The common decision; bottom when every process is corrupted.
   [[nodiscard]] WireValue decision() const;
   /// The common vector (vector protocols; empty otherwise).
   [[nodiscard]] std::vector<Value> vector() const;
+  [[nodiscard]] bool any_fallback() const;
+  /// Strong BA: every correct process decided fast.
+  [[nodiscard]] bool all_fast() const;
+  [[nodiscard]] std::uint32_t nonsilent_leaders() const;
+  /// Weak BA: correct processes that sent a help request.
+  [[nodiscard]] std::uint32_t help_reqs() const;
 };
 
 /// Static shape of a protocol, consumed by input derivation and the
@@ -194,7 +197,7 @@ struct DriverTraits {
   Round phase_len = 1;
 };
 
-/// A protocol behind the uniform prepare/run/outcome surface. Stateless;
+/// A protocol behind the uniform build/run/outcome surface. Stateless;
 /// one registered instance per protocol.
 class ProtocolDriver {
  public:
@@ -219,10 +222,19 @@ class ProtocolDriver {
   [[nodiscard]] std::vector<WireValue> prepare(std::uint32_t n,
                                                Value base) const;
 
-  /// Runs one instance and returns the uniform report.
-  [[nodiscard]] virtual RunReport run(const RunSpec& spec,
-                                      const RunInputs& inputs,
-                                      Adversary& adversary) const = 0;
+  /// Builds process ctx.id's protocol instance; ctx.crypto is the run's
+  /// trusted setup. Distributed hosts call this for their local process.
+  [[nodiscard]] virtual std::unique_ptr<IProcess> make_process(
+      const ProtocolContext& ctx, const RunInputs& inputs) const = 0;
+
+  /// Reads the outcome of a finished process built by make_process().
+  [[nodiscard]] virtual ProcessOutcome outcome(
+      const IProcess& process) const = 0;
+
+  /// Runs one instance in-process against `adversary` and returns the
+  /// uniform report. Checks `inputs` against traits() first.
+  [[nodiscard]] RunReport run(const RunSpec& spec, const RunInputs& inputs,
+                              Adversary& adversary) const;
 };
 
 /// The registered driver with this name, or nullptr. Names: "bb",
@@ -231,101 +243,5 @@ class ProtocolDriver {
 
 /// All registered drivers, in registration order.
 [[nodiscard]] const std::vector<const ProtocolDriver*>& drivers();
-
-// ---------------------------------------------------------------------------
-// Per-protocol adapters (DEPRECATED)
-//
-// The structs and run_* functions below predate the driver API. They are
-// kept as thin adapters for one release so existing callers keep compiling;
-// new code should go through find_driver()/drivers() and RunReport. The
-// drivers produce their RunReports from these, so both layers stay
-// bit-identical by construction.
-// ---------------------------------------------------------------------------
-
-struct BbResult : RunOutcome {
-  ProcessId sender = kNoProcess;
-  std::vector<std::optional<bb::BbStats>> stats;  // nullopt for corrupted
-
-  [[nodiscard]] bool all_decided() const;
-  [[nodiscard]] bool agreement() const;
-  /// The common decision (meaningful when agreement() holds).
-  [[nodiscard]] Value decision() const;
-  [[nodiscard]] std::uint32_t nonsilent_leaders() const;
-  [[nodiscard]] bool any_fallback() const;
-};
-
-struct WbaResult : RunOutcome {
-  std::vector<std::optional<wba::WbaStats>> stats;
-
-  [[nodiscard]] bool all_decided() const;
-  [[nodiscard]] bool agreement() const;
-  [[nodiscard]] WireValue decision() const;
-  [[nodiscard]] std::uint32_t nonsilent_leaders() const;
-  [[nodiscard]] bool any_fallback() const;
-  [[nodiscard]] std::uint32_t help_reqs_sent() const;
-};
-
-struct SbaResult : RunOutcome {
-  std::vector<std::optional<sba::SbaStats>> stats;
-
-  [[nodiscard]] bool all_decided() const;
-  [[nodiscard]] bool agreement() const;
-  [[nodiscard]] Value decision() const;
-  [[nodiscard]] bool any_fallback() const;
-  [[nodiscard]] bool all_fast() const;
-};
-
-struct FallbackResult : RunOutcome {
-  std::vector<std::optional<WireValue>> decisions;
-
-  [[nodiscard]] bool agreement() const;
-  [[nodiscard]] WireValue decision() const;
-};
-
-struct DsBbResult : RunOutcome {
-  std::vector<std::optional<Value>> decisions;
-
-  [[nodiscard]] bool agreement() const;
-  [[nodiscard]] Value decision() const;
-};
-
-struct IcResult : RunOutcome {
-  std::vector<std::optional<std::vector<Value>>> vectors;  // per process
-
-  [[nodiscard]] bool all_decided() const;
-  /// All correct processes hold the same vector.
-  [[nodiscard]] bool agreement() const;
-  [[nodiscard]] std::vector<Value> vector() const;
-};
-
-/// Byzantine Broadcast (Algorithms 1 + 2 over weak BA).
-[[nodiscard]] BbResult run_bb(const RunSpec& spec, ProcessId sender,
-                              Value sender_input, Adversary& adversary);
-
-/// Adaptive weak BA (Algorithms 3 + 4). inputs[i] is process i's proposal.
-[[nodiscard]] WbaResult run_weak_ba(const RunSpec& spec,
-                                    const std::vector<WireValue>& inputs,
-                                    const PredicateFactory& predicate,
-                                    Adversary& adversary);
-
-/// Strong binary BA (Algorithm 5).
-[[nodiscard]] SbaResult run_strong_ba(const RunSpec& spec,
-                                      const std::vector<Value>& inputs,
-                                      Adversary& adversary);
-
-/// A_fallback run standalone as a strong BA.
-[[nodiscard]] FallbackResult run_fallback_ba(
-    const RunSpec& spec, const std::vector<WireValue>& inputs,
-    Adversary& adversary);
-
-/// Classic single-sender Dolev-Strong BB (baseline).
-[[nodiscard]] DsBbResult run_ds_bb(const RunSpec& spec, ProcessId sender,
-                                   Value sender_input, Adversary& adversary);
-
-/// Interactive consistency: n parallel BB lanes (src/ba/vector). inputs[i]
-/// is process i's proposal.
-[[nodiscard]] IcResult run_ic(const RunSpec& spec,
-                              const std::vector<Value>& inputs,
-                              Adversary& adversary);
 
 }  // namespace mewc::harness

@@ -6,6 +6,7 @@
 
 #include "ba/adversaries/adversaries.hpp"
 #include "ba/adversaries/fuzzer.hpp"
+#include "ba/harness.hpp"
 
 namespace mewc::check {
 
@@ -38,8 +39,8 @@ const std::vector<std::pair<std::string, Factory>>& table() {
       // absorbed their early traffic.
       {"crash-late",
        [](const AdversaryParams& p) {
-         const Round mid =
-             std::max<Round>(2, protocol_rounds(p.protocol, p.n, p.t) / 2);
+         const Round mid = std::max<Round>(
+             2, protocol_driver(p.protocol).total_rounds(p.n, p.t) / 2);
          return std::make_unique<adv::CrashAdversary>(first_victims(p), mid);
        }},
       {"silent-sender",
@@ -52,9 +53,9 @@ const std::vector<std::pair<std::string, Factory>>& table() {
        }},
       {"killer",
        [](const AdversaryParams& p) {
-         const auto geo = protocol_phases(p.protocol);
-         return std::make_unique<adv::AdaptiveLeaderCrash>(geo.first, geo.len,
-                                                           p.n, p.f);
+         const harness::DriverTraits tr = protocol_driver(p.protocol).traits();
+         return std::make_unique<adv::AdaptiveLeaderCrash>(
+             tr.phase_first, tr.phase_len, p.n, p.f);
        }},
       {"equivocate",
        [](const AdversaryParams& p) {
@@ -95,12 +96,13 @@ const std::vector<std::pair<std::string, Factory>>& table() {
       {"random-adaptive",
        [](const AdversaryParams& p) {
          return std::make_unique<adv::RandomAdaptiveCrash>(
-             p.seed, p.f, protocol_rounds(p.protocol, p.n, p.t), p.sender);
+             p.seed, p.f, protocol_driver(p.protocol).total_rounds(p.n, p.t),
+             p.sender);
        }},
       {"help-spam",
        [](const AdversaryParams& p) {
          return std::make_unique<adv::WbaHelpSpam>(
-             p.instance, protocol_help_round(p.protocol, p.n),
+             p.instance, protocol_driver(p.protocol).help_round(p.n),
              std::max(1u, p.f), /*form_certificate=*/true,
              /*cert_recipients=*/1);
        }},
@@ -137,7 +139,7 @@ const std::vector<std::pair<std::string, Factory>>& table() {
              p.instance, /*phase=*/1, WireValue::plain(Value(p.value)),
              /*extra_corruptions=*/0, /*finalize_recipients=*/1));
          parts.push_back(std::make_unique<adv::WbaHelpSpam>(
-             p.instance, protocol_help_round(p.protocol, p.n),
+             p.instance, protocol_driver(p.protocol).help_round(p.n),
              /*corruptions=*/p.f > 0 ? p.f - 1 : 0,
              /*form_certificate=*/true, /*cert_recipients=*/1,
              /*covert=*/true));

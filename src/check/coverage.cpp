@@ -3,7 +3,7 @@
 namespace mewc::cov {
 
 namespace detail {
-thread_local CoverageMap* g_active = nullptr;
+constinit thread_local CoverageMap* g_active = nullptr;
 }  // namespace detail
 
 namespace {

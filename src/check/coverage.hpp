@@ -182,7 +182,7 @@ struct Bitmap {
 
 namespace detail {
 // Active map of the calling thread; nullptr outside any CoverageScope.
-extern thread_local CoverageMap* g_active;
+extern constinit thread_local CoverageMap* g_active;
 }  // namespace detail
 
 /// Records one execution of `s` into the calling thread's active scope;

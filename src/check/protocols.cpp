@@ -50,17 +50,4 @@ std::string protocol_names_joined(std::string_view sep) {
   return out;
 }
 
-Round protocol_rounds(Protocol p, std::uint32_t n, std::uint32_t t) {
-  return protocol_driver(p).total_rounds(n, t);
-}
-
-PhaseGeometry protocol_phases(Protocol p) {
-  const harness::DriverTraits tr = protocol_driver(p).traits();
-  return {tr.phase_first, tr.phase_len};
-}
-
-Round protocol_help_round(Protocol p, std::uint32_t n) {
-  return protocol_driver(p).help_round(n);
-}
-
 }  // namespace mewc::check

@@ -29,22 +29,6 @@ enum class Protocol {
 [[nodiscard]] const std::vector<Protocol>& all_protocols();
 [[nodiscard]] std::string protocol_names_joined(std::string_view sep = "|");
 
-/// Total rounds of the protocol's static schedule.
-[[nodiscard]] Round protocol_rounds(Protocol p, std::uint32_t n,
-                                    std::uint32_t t);
-
-/// Rotating-leader phase structure, for the leader-killer adversary:
-/// the round the first phase starts in and the phase length. (1, 1) for
-/// protocols without rotating phases.
-struct PhaseGeometry {
-  Round first = 1;
-  Round len = 1;
-};
-[[nodiscard]] PhaseGeometry protocol_phases(Protocol p);
-
-/// Global round of the weak-BA help exchange (0 when the protocol has none).
-[[nodiscard]] Round protocol_help_round(Protocol p, std::uint32_t n);
-
 /// The harness driver backing `p`. All protocol dispatch in the check
 /// subsystem and the CLI tools goes through this registry lookup.
 [[nodiscard]] const harness::ProtocolDriver& protocol_driver(Protocol p);

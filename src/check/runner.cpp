@@ -4,7 +4,9 @@
 #include <utility>
 
 #include "ba/adversaries/adversaries.hpp"
+#include "ba/bb/bb.hpp"
 #include "ba/harness.hpp"
+#include "ba/strong_ba/strong_ba.hpp"
 #include "ba/weak_ba/messages.hpp"
 #include "check/adversary_registry.hpp"
 #include "common/check.hpp"
@@ -248,9 +250,15 @@ RunRecord run_cell(const CellSpec& cell, const RunOptions& opts) {
   record.rounds = res.rounds;
   record.signatures_issued = res.signatures_issued;
   record.corrupted = corrupted_mask(cell.n, res.corrupted);
-  record.any_fallback = res.any_fallback;
-  record.decided = res.decided;
-  record.decisions = res.decisions;
+  record.any_fallback = res.any_fallback();
+  record.decided.assign(cell.n, false);
+  record.decisions.assign(cell.n, bottom_value());
+  for (ProcessId p = 0; p < cell.n; ++p) {
+    if (const auto& o = res.outcomes[p]) {
+      record.decided[p] = o->decided;
+      record.decisions[p] = o->decision;
+    }
+  }
   return record;
 }
 

@@ -39,7 +39,8 @@ Replica::Replica(const ReplicaConfig& config)
         c.checkpoint_runner = [this](const harness::RunSpec& spec,
                                      const harness::RunInputs& inputs) {
           ++stats_.checkpoint_runs;
-          return run_distributed("strong-ba", spec, inputs);
+          return run_distributed(*harness::find_driver("strong-ba"), spec,
+                                 inputs);
         };
         return c;
       }()) {
@@ -63,7 +64,8 @@ const smr::SlotRecord& Replica::run_slot(Value proposal) {
   inputs.values = std::vector<WireValue>(config_.n, WireValue::plain(proposal));
   inputs.sender = proposer;
 
-  const harness::RunReport report = run_distributed("bb", spec, inputs);
+  const harness::RunReport report =
+      run_distributed(*harness::find_driver("bb"), spec, inputs);
   // commit() runs the checkpoint cadence inline, which re-enters
   // run_distributed through the checkpoint_runner hook on the odd
   // instance lane — strictly after this slot's instance, strictly before
@@ -80,10 +82,10 @@ const smr::SlotRecord& Replica::run_slot(Value proposal) {
   return rec;
 }
 
-harness::RunReport Replica::run_distributed(std::string_view protocol,
-                                            const harness::RunSpec& spec,
-                                            const harness::RunInputs& inputs) {
-  // Mirror harness::run_protocol's cached-family discipline: per-instance
+harness::RunReport Replica::run_distributed(
+    const harness::ProtocolDriver& driver, const harness::RunSpec& spec,
+    const harness::RunInputs& inputs) {
+  // Mirror ProtocolDriver::run's cached-family discipline: per-instance
   // signature counters start from zero, and bundles are re-issued for all
   // n processes (key derivation is deterministic, so every node holds the
   // same trusted setup).
@@ -105,18 +107,8 @@ harness::RunReport Replica::run_distributed(std::string_view protocol,
   // Only this node's process exists locally; peer slots stay null and
   // their traffic arrives through the transport.
   std::vector<std::unique_ptr<IProcess>> processes(config_.n);
-  Round rounds = 0;
-  if (protocol == "bb") {
-    rounds = bb::BbProcess::total_rounds(config_.n, config_.t);
-    processes[config_.id] = std::make_unique<bb::BbProcess>(
-        ctx, inputs.sender, inputs.values[inputs.sender].value);
-  } else if (protocol == "strong-ba") {
-    rounds = sba::StrongBaProcess::total_rounds(config_.t);
-    processes[config_.id] = std::make_unique<sba::StrongBaProcess>(
-        ctx, inputs.values[config_.id].value);
-  } else {
-    MEWC_CHECK_MSG(false, "replica runs only bb and strong-ba instances");
-  }
+  processes[config_.id] = driver.make_process(ctx, inputs);
+  const Round rounds = driver.total_rounds(config_.n, config_.t);
 
   adv::NullAdversary null_adv;
   EventExecutorConfig ec;
@@ -133,36 +125,17 @@ harness::RunReport Replica::run_distributed(std::string_view protocol,
   stats_.foreign_drops += exec.stats().foreign_drops;
   stats_.future_buffered += exec.stats().future_buffered;
 
-  bool decided = false;
-  Value decision = kBottom;
-  bool fallback = false;
-  if (protocol == "bb") {
-    const auto& p = static_cast<const bb::BbProcess&>(
-        static_cast<const EventExecutor&>(exec).process(config_.id));
-    decided = p.decided();
-    decision = p.decision();
-    fallback = p.stats().fallback_participant;
-  } else {
-    const auto& p = static_cast<const sba::StrongBaProcess&>(
-        static_cast<const EventExecutor&>(exec).process(config_.id));
-    decided = p.decided();
-    decision = p.decision();
-    fallback = p.stats().fallback_participant;
-  }
-
   // Local-view report: this node's outcome replicated across every slot,
   // so RunReport::decision()/agreement() answer "what did *I* commit".
   // Cross-node agreement is audited by digest comparison, not here.
   harness::RunReport report;
-  report.protocol = std::string(protocol);
+  report.protocol = driver.name();
   report.sender = inputs.sender;
   report.rounds = rounds;
   report.meter = exec.meter();
   report.signatures_issued = family_.pki().signatures_issued();
-  report.any_fallback = fallback;
-  report.decided.assign(config_.n, decided);
-  report.decisions.assign(
-      config_.n, decided ? WireValue::plain(decision) : WireValue{});
+  report.outcomes.assign(config_.n,
+                         driver.outcome(exec.process(config_.id)));
   return report;
 }
 

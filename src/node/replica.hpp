@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "net/transport.hpp"
 #include "sim/event_executor.hpp"
@@ -102,10 +101,10 @@ class Replica {
   }
 
  private:
-  /// Runs one protocol instance ("bb" or "strong-ba") across the cluster,
-  /// hosting only this node's process, and synthesizes the local-view
-  /// RunReport the ledger commits.
-  harness::RunReport run_distributed(std::string_view protocol,
+  /// Runs one protocol instance (a slot's BB or a checkpoint's strong BA)
+  /// across the cluster, hosting only this node's process, and synthesizes
+  /// the local-view RunReport the ledger commits.
+  harness::RunReport run_distributed(const harness::ProtocolDriver& driver,
                                      const harness::RunSpec& spec,
                                      const harness::RunInputs& inputs);
 

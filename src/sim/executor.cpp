@@ -15,6 +15,60 @@ std::optional<ExecutorKind> parse_executor_kind(std::string_view name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Round-lockstep executor: drives correct processes and the adversary
+/// through the synchronous schedule and owns the key material.
+class Executor final : public IExecutor {
+ public:
+  /// `processes[i]` is the correct implementation of process i; entries for
+  /// processes the adversary corrupts at setup simply never run. `bundles`
+  /// are the key bundles the harness issued (processes hold non-owning
+  /// pointers into this vector; vector move keeps element addresses stable).
+  Executor(const ThresholdFamily& family, std::vector<KeyBundle> bundles,
+           std::vector<std::unique_ptr<IProcess>> processes,
+           Adversary& adversary, ExecutorHooks hooks = {});
+
+  /// Runs rounds 1..total_rounds.
+  void run(Round total_rounds) override;
+
+  [[nodiscard]] const Meter& meter() const override {
+    return network_.meter();
+  }
+
+  [[nodiscard]] bool is_corrupted(ProcessId pid) const override;
+  [[nodiscard]] std::uint32_t corrupted_count() const override;
+  [[nodiscard]] std::vector<ProcessId> corrupted() const override;
+
+  [[nodiscard]] const KeyBundle& bundle(ProcessId pid) const override {
+    return bundles_[pid];
+  }
+
+  [[nodiscard]] IProcess& process(ProcessId pid) override {
+    return *processes_[pid];
+  }
+  [[nodiscard]] const IProcess& process(ProcessId pid) const override {
+    return *processes_[pid];
+  }
+
+ private:
+  class Control;
+
+  const ThresholdFamily& family_;
+  SyncNetwork network_;
+  std::vector<KeyBundle> bundles_;
+  std::vector<std::unique_ptr<IProcess>> processes_;
+  Adversary& adversary_;
+  std::vector<bool> corrupted_;
+  std::uint32_t corrupted_count_ = 0;
+  // Reused send buffers (cleared, never reconstructed): after the first few
+  // rounds the send path allocates nothing. The rushing view itself lives
+  // in the network, recorded post-transform at post time.
+  Outbox send_outbox_;
+  Outbox adversary_outbox_;
+  Round current_round_ = 0;
+};
+
 /// Concrete capabilities surface handed to the adversary each round.
 class Executor::Control final : public AdversaryControl {
  public:
@@ -143,6 +197,8 @@ std::vector<ProcessId> Executor::corrupted() const {
   }
   return out;
 }
+
+}  // namespace
 
 std::unique_ptr<IExecutor> make_executor(
     ExecutorKind kind, const ThresholdFamily& family,

@@ -1,9 +1,10 @@
 // Execution API (DESIGN.md §14): protocols run behind the IExecutor
 // interface, constructed through make_executor(). Two implementations:
 //
-//  * Executor — the round-lockstep simulator (this header). One global
-//    loop drives all n processes and the adversary through the synchronous
-//    schedule via direct inbox writes (SyncNetwork).
+//  * the round-lockstep simulator (sim/executor.cpp, only reachable through
+//    make_executor). One global loop drives all n processes and the
+//    adversary through the synchronous schedule via direct inbox writes
+//    (SyncNetwork).
 //  * EventExecutor (sim/event_executor.hpp) — event-driven: processes
 //    exchange envelopes through a net::Transport and rounds close when a
 //    net::IRoundSync policy fires. The same class hosts a single process
@@ -73,66 +74,8 @@ class IExecutor {
   [[nodiscard]] virtual const KeyBundle& bundle(ProcessId pid) const = 0;
 };
 
-/// Round-lockstep executor: drives correct processes and the adversary
-/// through the synchronous schedule and owns the key material.
-///
-/// DEPRECATED (direct construction): new code obtains an executor through
-/// make_executor() so the ExecutorKind stays a run parameter. The public
-/// constructor remains for one release as the migration adapter for tests
-/// and benches that poke executor internals.
-class Executor final : public IExecutor {
- public:
-  /// `processes[i]` is the correct implementation of process i; entries for
-  /// processes the adversary corrupts at setup simply never run. `bundles`
-  /// are the key bundles the harness issued (processes hold non-owning
-  /// pointers into this vector; vector move keeps element addresses stable).
-  Executor(const ThresholdFamily& family, std::vector<KeyBundle> bundles,
-           std::vector<std::unique_ptr<IProcess>> processes,
-           Adversary& adversary, ExecutorHooks hooks = {});
-
-  /// Runs rounds 1..total_rounds.
-  void run(Round total_rounds) override;
-
-  [[nodiscard]] const Meter& meter() const override {
-    return network_.meter();
-  }
-  [[nodiscard]] const SyncNetwork& network() const { return network_; }
-
-  [[nodiscard]] bool is_corrupted(ProcessId pid) const override;
-  [[nodiscard]] std::uint32_t corrupted_count() const override;
-  [[nodiscard]] std::vector<ProcessId> corrupted() const override;
-
-  [[nodiscard]] const KeyBundle& bundle(ProcessId pid) const override {
-    return bundles_[pid];
-  }
-
-  [[nodiscard]] IProcess& process(ProcessId pid) override {
-    return *processes_[pid];
-  }
-  [[nodiscard]] const IProcess& process(ProcessId pid) const override {
-    return *processes_[pid];
-  }
-
- private:
-  class Control;
-
-  const ThresholdFamily& family_;
-  SyncNetwork network_;
-  std::vector<KeyBundle> bundles_;
-  std::vector<std::unique_ptr<IProcess>> processes_;
-  Adversary& adversary_;
-  std::vector<bool> corrupted_;
-  std::uint32_t corrupted_count_ = 0;
-  // Reused send buffers (cleared, never reconstructed): after the first few
-  // rounds the send path allocates nothing. The rushing view itself lives
-  // in the network, recorded post-transform at post time.
-  Outbox send_outbox_;
-  Outbox adversary_outbox_;
-  Round current_round_ = 0;
-};
-
-/// The one production entry point for building an executor. kLockstep
-/// yields the classic simulator; kEvent yields an EventExecutor hosting
+/// The one way to build an executor. kLockstep yields the classic
+/// simulator; kEvent yields an EventExecutor hosting
 /// all n processes over an owned loopback transport with quiescence round
 /// closure (distributed deployments construct EventExecutor directly with
 /// their transport — see sim/event_executor.hpp).

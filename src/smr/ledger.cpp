@@ -65,7 +65,7 @@ const SlotRecord& Ledger::commit(std::uint64_t slot,
   rec.slot = slot;
   rec.proposer = proposer_of(slot);
   rec.agreement = report.agreement();
-  rec.fallback = report.any_fallback;
+  rec.fallback = report.any_fallback();
   rec.words = report.meter.words_correct;
   rec.value = report.decision().value;
   rec.skipped = rec.value.is_bottom();

@@ -15,6 +15,9 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 /// Collects Byzantine traffic per (round, kind).
 struct ByzProbe {
   std::map<std::string, std::uint32_t> kind_counts;
@@ -36,7 +39,7 @@ TEST(AdversaryMechanics, CrashVictimsNeverSend) {
   ByzProbe probe;
   auto spec = probe.attach(RunSpec::for_t(2));
   adv::CrashAdversary adv({1, 3});
-  const auto res = harness::run_bb(spec, 0, Value(1), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(probe.total, 0u);  // crash = silence, not noise
 }
@@ -47,7 +50,7 @@ TEST(AdversaryMechanics, EquivocatingSenderSendsBothSignedValues) {
   adv::BbEquivocatingSender adv(2, spec.instance,
                                 adv::SenderMode::kEquivocate, Value(10),
                                 Value(11));
-  const auto res = harness::run_bb(spec, 2, Value(10), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(10)), 2}, adv);
   EXPECT_TRUE(res.agreement());
   // One sender_value per process (n of them), all from the sender.
   EXPECT_EQ(probe.kind_counts["bb.sender_value"], spec.n - 1);  // no self
@@ -60,7 +63,7 @@ TEST(AdversaryMechanics, PartialSenderReachesOnlyRequestedProcesses) {
   auto spec = probe.attach(RunSpec::for_t(2));
   adv::BbEquivocatingSender adv(4, spec.instance, adv::SenderMode::kPartial,
                                 Value(10), Value(0), /*reach=*/2);
-  const auto res = harness::run_bb(spec, 4, Value(10), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(10)), 4}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(probe.kind_counts["bb.sender_value"], 2u);
 }
@@ -69,9 +72,7 @@ TEST(AdversaryMechanics, CertSplitEmitsTheExpectedCertificates) {
   ByzProbe probe;
   auto spec = probe.attach(RunSpec::for_t(2));
   adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(7)), 0, 1);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.agreement());
   // Leader's phase: one propose broadcast (n-1 link crossings), one commit
   // broadcast, exactly ONE finalize unicast.
@@ -85,9 +86,7 @@ TEST(AdversaryMechanics, HelpSpamSendsOnlyInTheHelpWindow) {
   auto spec = probe.attach(RunSpec::for_t(3));
   const Round help_round = 5 * spec.n + 1;
   adv::WbaHelpSpam adv(spec.instance, help_round, 2, false, 0);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(probe.kind_counts["wba.help_req"], 2u * (spec.n - 1));
   EXPECT_EQ(probe.kind_counts.size(), 1u);  // nothing else, ever
@@ -98,9 +97,7 @@ TEST(AdversaryMechanics, FuzzerEmitsConfiguredVolume) {
   auto spec = probe.attach(RunSpec::for_t(2));
   adv::Fuzzer adv(spec.instance, 5, /*corruptions=*/1,
                   /*messages_per_round=*/2);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.agreement());
   // 2 messages per round, mixed unicast/broadcast: at least 2 link
   // crossings per round, at most 2n.
@@ -117,7 +114,7 @@ TEST(AdversaryMechanics, CompositeRunsAllParts) {
   parts.push_back(std::make_unique<adv::CrashAdversary>(
       std::vector<ProcessId>{5}));
   adv::Composite adv(std::move(parts));
-  const auto res = harness::run_bb(spec, 0, Value(1), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.f(), 2u);  // both strategies corrupted their victims
   EXPECT_GT(probe.kind_counts["bb.sender_value"], 0u);
@@ -126,9 +123,7 @@ TEST(AdversaryMechanics, CompositeRunsAllParts) {
 TEST(AdversaryMechanics, AdaptiveLeaderCrashRespectsBudgetAcrossPhases) {
   auto spec = RunSpec::for_t(4);  // n = 9
   adv::AdaptiveLeaderCrash adv(1, 5, spec.n, /*budget=*/3);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_EQ(res.f(), 3u);
   EXPECT_EQ(res.corrupted, (std::vector<ProcessId>{0, 1, 2}));
 }

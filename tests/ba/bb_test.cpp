@@ -14,17 +14,20 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+
 TEST(Bb, CorrectSenderFailureFree) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_bb(spec, /*sender=*/1, Value(7), adv);
+  const auto res =
+      kBb.run(spec, {kBb.prepare(spec.n, Value(7)), /*sender=*/1}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(7));
+  EXPECT_EQ(res.decision().value, Value(7));
   // Everyone adopted in round 1, so every vetting phase is silent.
   EXPECT_EQ(res.nonsilent_leaders(), 0u);
   EXPECT_FALSE(res.any_fallback());
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     ASSERT_TRUE(s.has_value());
     EXPECT_TRUE(s->adopted_from_sender);
   }
@@ -36,10 +39,10 @@ TEST(Bb, CorrectSenderWithCrashes) {
   auto spec = RunSpec::for_t(5);  // n = 11; adaptive boundary f <= 2
   ASSERT_TRUE(adaptive_regime(spec.n, spec.t, 2));
   adv::CrashAdversary adv({2, 5});
-  const auto res = harness::run_bb(spec, 0, Value(13), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(13)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(13));
+  EXPECT_EQ(res.decision().value, Value(13));
   EXPECT_FALSE(res.any_fallback());
 }
 
@@ -48,10 +51,10 @@ TEST(Bb, CorrectSenderWithMaximalCrash) {
   // validity with BB_valid still forces the sender's value.
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({1, 2, 3});
-  const auto res = harness::run_bb(spec, 0, Value(21), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(21)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(21));
+  EXPECT_EQ(res.decision().value, Value(21));
 }
 
 TEST(Bb, SilentSenderDecidesBottomViaIdkCertificate) {
@@ -60,7 +63,7 @@ TEST(Bb, SilentSenderDecidesBottomViaIdkCertificate) {
   // BB output is ⊥ everywhere.
   auto spec = RunSpec::for_t(2);
   adv::CrashAdversary adv({3});  // process 3 is the (silent) sender
-  const auto res = harness::run_bb(spec, 3, Value(9), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(9)), 3}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.decision().is_bottom());
@@ -75,10 +78,10 @@ TEST(Bb, EquivocatingSenderStillAgrees) {
   auto spec = RunSpec::for_t(2);
   adv::BbEquivocatingSender adv(2, spec.instance, adv::SenderMode::kEquivocate,
                                 Value(40), Value(41));
-  const auto res = harness::run_bb(spec, 2, Value(40), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(40)), 2}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  const Value d = res.decision();
+  const Value d = res.decision().value;
   EXPECT_TRUE(d == Value(40) || d == Value(41)) << d.raw;
 }
 
@@ -89,10 +92,10 @@ TEST(Bb, PartialSenderValueSpreadsThroughVetting) {
   auto spec = RunSpec::for_t(2);
   adv::BbEquivocatingSender adv(4, spec.instance, adv::SenderMode::kPartial,
                                 Value(50), Value(0), /*reach=*/2);
-  const auto res = harness::run_bb(spec, 4, Value(50), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(50)), 4}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(50));
+  EXPECT_EQ(res.decision().value, Value(50));
 }
 
 TEST(Bb, SilentSenderPlusCrashesStillTerminates) {
@@ -100,7 +103,7 @@ TEST(Bb, SilentSenderPlusCrashesStillTerminates) {
   // territory; agreement and termination must survive, decision is ⊥.
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({0, 4, 6});  // 0 is the sender
-  const auto res = harness::run_bb(spec, 0, Value(3), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(3)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.decision().is_bottom());
@@ -120,7 +123,7 @@ TEST(Bb, AdaptiveLeaderKillerBurnsPhasesButValidityHolds) {
   parts.push_back(std::make_unique<adv::AdaptiveLeaderCrash>(
       /*first_phase_round=*/4, /*phase_len=*/3, spec.n, /*budget=*/2));
   adv::Composite adv(std::move(parts));
-  const auto res = harness::run_bb(spec, 6, Value(5), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(5)), 6}, adv);
   EXPECT_EQ(res.f(), 3u);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
@@ -142,7 +145,7 @@ TEST(Bb, IdkCertificateRelayAcrossPhases) {
   parts.push_back(std::make_unique<adv::CrashAdversary>(
       std::vector<ProcessId>{1}, /*from_round=*/3));
   adv::Composite adv(std::move(parts));
-  const auto res = harness::run_bb(spec, 0, Value(9), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(9)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.decision().is_bottom());
@@ -162,7 +165,7 @@ TEST(Bb, Note1PartialIdkRelayHealsTheSplit) {
   parts.push_back(
       std::make_unique<adv::BbPartialRelay>(spec.instance, 1, /*reach=*/2));
   adv::Composite adv(std::move(parts));
-  const auto res = harness::run_bb(spec, 4, Value(9), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(9)), 4}, adv);
   EXPECT_EQ(res.f(), 2u);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
@@ -170,7 +173,7 @@ TEST(Bb, Note1PartialIdkRelayHealsTheSplit) {
   // p1 could not have minted a fresh certificate (the reached processes
   // answered with the certificate instead of idk, leaving only 1 < t+1 idk
   // partials), so termination here proves the relay path ran.
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     if (!s) continue;
     EXPECT_TRUE(s->decided);
   }
@@ -187,10 +190,11 @@ TEST(Bb, DecisionNeverFabricatedForCorrectSender) {
         if (v != sender) victims.push_back(v);
       }
       adv::CrashAdversary adv(victims);
-      const auto res = harness::run_bb(spec, sender, Value(1000 + sender), adv);
+      const auto res = kBb.run(
+          spec, {kBb.prepare(spec.n, Value(1000 + sender)), sender}, adv);
       EXPECT_TRUE(res.all_decided()) << "t=" << t << " sender=" << sender;
       EXPECT_TRUE(res.agreement()) << "t=" << t << " sender=" << sender;
-      EXPECT_EQ(res.decision(), Value(1000 + sender))
+      EXPECT_EQ(res.decision().value, Value(1000 + sender))
           << "t=" << t << " sender=" << sender;
     }
   }

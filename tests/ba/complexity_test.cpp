@@ -13,6 +13,12 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+const harness::ProtocolDriver& kFallbackBa = *harness::find_driver("fallback");
+const harness::ProtocolDriver& kDsBb = *harness::find_driver("ds-bb");
+
 std::vector<ProcessId> first_f(std::uint32_t f) {
   std::vector<ProcessId> v;
   for (std::uint32_t i = 0; i < f; ++i) v.push_back(i);
@@ -27,7 +33,7 @@ TEST(Complexity, BbFailureFreeIsLinear) {
   for (std::uint32_t t : {2u, 5u, 10u, 20u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_bb(spec, 0, Value(1), adv);
+    const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv);
     ASSERT_TRUE(res.agreement());
     // Dissemination (n-1 x 2 words) + one weak-BA phase (4 leader rounds of
     // <= 3-word messages) + self-costs: comfortably under 16n.
@@ -44,7 +50,8 @@ TEST(Complexity, BbAdaptiveEnvelope) {
     const std::uint32_t boundary = spec.n - commit_quorum(spec.n, spec.t);
     for (std::uint32_t f = 0; f <= boundary; f += 2) {
       adv::CrashAdversary adv(first_f(f));
-      const auto res = harness::run_bb(spec, spec.n - 1, Value(3), adv);
+      const auto res =
+          kBb.run(spec, {kBb.prepare(spec.n, Value(3)), spec.n - 1}, adv);
       ASSERT_TRUE(res.agreement()) << "t=" << t << " f=" << f;
       EXPECT_LE(res.meter.words_correct, kC * spec.n * (f + 1))
           << "t=" << t << " f=" << f;
@@ -58,7 +65,8 @@ TEST(Complexity, BbNonsilentPhasesLinearInF) {
   for (std::uint32_t f : {0u, 2u, 4u}) {
     auto spec = RunSpec::for_t(6);  // n = 13
     adv::CrashAdversary adv(first_f(f));  // crash the first f leaders
-    const auto res = harness::run_bb(spec, spec.n - 1, Value(3), adv);
+    const auto res =
+        kBb.run(spec, {kBb.prepare(spec.n, Value(3)), spec.n - 1}, adv);
     ASSERT_TRUE(res.agreement());
     EXPECT_LE(res.nonsilent_leaders(), f + 1) << "f=" << f;
   }
@@ -75,9 +83,8 @@ TEST(Complexity, WeakBaAdaptiveEnvelope) {
     const std::uint32_t boundary = spec.n - commit_quorum(spec.n, spec.t);
     for (std::uint32_t f = 0; f <= boundary; f += 2) {
       adv::CrashAdversary adv(first_f(f));
-      const auto res = harness::run_weak_ba(
-          spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-          harness::always_valid_factory(), adv);
+      const auto res =
+          kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
       ASSERT_TRUE(res.agreement()) << "t=" << t << " f=" << f;
       EXPECT_FALSE(res.any_fallback()) << "t=" << t << " f=" << f;
       EXPECT_LE(res.meter.words_correct, kC * spec.n * (f + 1))
@@ -93,9 +100,7 @@ TEST(Complexity, WeakBaWorstCaseLeaderKiller) {
   auto spec = RunSpec::for_t(10);  // n = 21, boundary f < ~5
   const std::uint32_t f = 4;
   adv::AdaptiveLeaderCrash adv(1, 5, spec.n, f);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
   ASSERT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
   EXPECT_LE(res.meter.words_correct, 30ull * spec.n * (f + 1));
@@ -106,9 +111,7 @@ TEST(Complexity, SilentPhasesCostNothing) {
   // run are completely quiet.
   auto spec = RunSpec::for_t(8);
   adv::NullAdversary adv;
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
   EXPECT_EQ(res.meter.words_in_rounds(6, 5 * spec.n + 1), 0u);
 }
 
@@ -120,7 +123,7 @@ TEST(Complexity, StrongBaFailureFreeExactlyFourLeaderRounds) {
   auto spec = RunSpec::for_t(10);  // n = 21
   adv::NullAdversary adv;
   const auto res =
-      harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)), adv);
+      kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
   ASSERT_TRUE(res.all_fast());
   // Rounds 1-4 carry all traffic; rounds 5+ (fallback machinery) are quiet.
   EXPECT_GT(res.meter.words_in_rounds(1, 5), 0u);
@@ -134,8 +137,8 @@ TEST(Complexity, StrongBaLinearScalingAtFZero) {
   adv::NullAdversary adv;
   auto words_at = [&](std::uint32_t t) {
     auto spec = RunSpec::for_t(t);
-    const auto res = harness::run_strong_ba(
-        spec, std::vector<Value>(spec.n, Value(0)), adv);
+    const auto res =
+        kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(0))}, adv);
     return static_cast<double>(res.meter.words_correct) / spec.n;
   };
   const double small = words_at(5), large = words_at(20);
@@ -152,7 +155,7 @@ TEST(Complexity, SignatureWordSeparationFailureFree) {
   // transfers Theta(n*t) logical signatures in Theta(n) words.
   auto spec = RunSpec::for_t(15);  // n = 31
   adv::NullAdversary adv;
-  const auto res = harness::run_bb(spec, 0, Value(1), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv);
   ASSERT_TRUE(res.agreement());
   const std::uint64_t nt =
       static_cast<std::uint64_t>(spec.n) * commit_quorum(spec.n, spec.t);
@@ -167,8 +170,9 @@ TEST(Complexity, SignatureWordSeparationFailureFree) {
 TEST(Complexity, AdaptiveBbBeatsDolevStrongFailureFree) {
   auto spec = RunSpec::for_t(10);  // n = 21
   adv::NullAdversary adv1, adv2;
-  const auto adaptive = harness::run_bb(spec, 0, Value(1), adv1);
-  const auto classic = harness::run_ds_bb(spec, 0, Value(1), adv2);
+  const auto adaptive = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv1);
+  const auto classic =
+      kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, adv2);
   ASSERT_TRUE(adaptive.agreement());
   ASSERT_TRUE(classic.agreement());
   // Θ(n) vs Θ(n^2): at n = 21 the adaptive protocol must win by a wide
@@ -194,9 +198,8 @@ TEST(GrowthOrder, WeakBaFailureFreeIsLinearInN) {
   for (std::uint32_t t : {5u, 10u, 20u, 40u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-        harness::always_valid_factory(), adv);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
     ns.push_back(spec.n);
     words.push_back(static_cast<double>(res.meter.words_correct));
   }
@@ -210,7 +213,7 @@ TEST(GrowthOrder, DolevStrongBaselineIsQuadraticInN) {
   for (std::uint32_t t : {5u, 10u, 20u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_ds_bb(spec, 0, Value(1), adv);
+    const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, adv);
     ns.push_back(spec.n);
     words.push_back(static_cast<double>(res.meter.words_correct));
   }
@@ -223,9 +226,8 @@ TEST(GrowthOrder, SubstitutedFallbackIsCubicInN) {
   for (std::uint32_t t : {2u, 5u, 10u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_fallback_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(1))),
-        adv);
+    const auto res =
+        kFallbackBa.run(spec, {kFallbackBa.prepare(spec.n, Value(1))}, adv);
     ns.push_back(spec.n);
     words.push_back(static_cast<double>(res.meter.words_correct));
   }
@@ -240,9 +242,8 @@ TEST(GrowthOrder, WeakBaKillerSweepIsLinearInF) {
   std::vector<double> fs, words;
   for (std::uint32_t f = 0; f <= 5; ++f) {
     adv::AdaptiveLeaderCrash adv(3, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-        harness::always_valid_factory(), adv);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
     ASSERT_FALSE(res.any_fallback());
     fs.push_back(res.f());
     words.push_back(static_cast<double>(res.meter.words_correct));
@@ -262,10 +263,9 @@ TEST(EarlyStopping, WeakBaDecisionRoundTracksF) {
   auto spec = RunSpec::for_t(10);
   for (std::uint32_t f = 0; f <= 4; f += 2) {
     adv::AdaptiveLeaderCrash adv(3, 5, spec.n, f);
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(2))),
-        harness::always_valid_factory(), adv);
-    for (const auto& s : res.stats) {
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(2))}, adv);
+    for (const auto& s : res.outcomes) {
       if (!s) continue;
       ASSERT_TRUE(s->decided);
       // Decision lands at the end of phase f+1: round 5(f+1).
@@ -278,8 +278,8 @@ TEST(EarlyStopping, StrongBaFastPathDecidesInRoundFour) {
   auto spec = RunSpec::for_t(5);
   adv::NullAdversary adv;
   const auto res =
-      harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)), adv);
-  for (const auto& s : res.stats) {
+      kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
+  for (const auto& s : res.outcomes) {
     ASSERT_TRUE(s.has_value());
     EXPECT_EQ(s->decided_round, 4u);
   }
@@ -288,9 +288,9 @@ TEST(EarlyStopping, StrongBaFastPathDecidesInRoundFour) {
 TEST(EarlyStopping, BbFailureFreeDecidesInFirstWbaPhase) {
   auto spec = RunSpec::for_t(5);
   adv::NullAdversary adv;
-  const auto res = harness::run_bb(spec, 0, Value(1), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(1)), 0}, adv);
   const Round wba_first = 1 + 3 * spec.n + 1;
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     ASSERT_TRUE(s.has_value());
     EXPECT_EQ(s->decided_round, wba_first - 1 + 5);  // end of wba phase 1
   }

@@ -13,13 +13,15 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
 TEST(Determinism, WeakBaRunsAreBitIdentical) {
   auto run = [] {
     auto spec = RunSpec::for_t(3);
     adv::CrashAdversary adv({1, 4});
-    return harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(7))),
-        harness::always_valid_factory(), adv);
+    return kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(7))}, adv);
   };
   const auto a = run();
   const auto b = run();
@@ -33,7 +35,7 @@ TEST(Determinism, FuzzedRunsAreSeedDeterministic) {
   auto run = [](std::uint64_t seed) {
     auto spec = RunSpec::for_t(3);
     adv::Fuzzer adv(spec.instance, seed, 2, 4);
-    return harness::run_bb(spec, 0, Value(5), adv);
+    return kBb.run(spec, {kBb.prepare(spec.n, Value(5)), 0}, adv);
   };
   const auto a = run(99);
   const auto b = run(99);
@@ -52,8 +54,7 @@ TEST(Determinism, CryptoSeedChangesTagsNotOutcomes) {
     auto spec = RunSpec::for_t(2);
     spec.seed = seed;
     adv::NullAdversary adv;
-    return harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)),
-                                  adv);
+    return kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
   };
   const auto a = run(1);
   const auto b = run(2);
@@ -90,9 +91,8 @@ TEST(Determinism, ShamirBackendMatchesSimBackendOutcomes) {
     auto spec = RunSpec::for_t(2);
     spec.backend = backend;
     adv::CrashAdversary adv({0});
-    const auto res = harness::run_weak_ba(
-        spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(4))),
-        harness::always_valid_factory(), adv);
+    const auto res =
+        kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(4))}, adv);
     EXPECT_TRUE(res.agreement());
     EXPECT_EQ(res.decision().value, Value(4));
     EXPECT_EQ(res.meter.words_correct > 0, true);
@@ -101,10 +101,7 @@ TEST(Determinism, ShamirBackendMatchesSimBackendOutcomes) {
     auto spec = RunSpec::for_t(2);
     spec.backend = backend;
     adv::NullAdversary adv;
-    return harness::run_weak_ba(
-               spec,
-               std::vector<WireValue>(spec.n, WireValue::plain(Value(4))),
-               harness::always_valid_factory(), adv)
+    return kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(4))}, adv)
         .meter.words_correct;
   };
   EXPECT_EQ(words_for(ThresholdBackend::kSim),

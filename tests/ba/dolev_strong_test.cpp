@@ -14,6 +14,9 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kFallbackBa = *harness::find_driver("fallback");
+const harness::ProtocolDriver& kDsBb = *harness::find_driver("ds-bb");
+
 std::vector<WireValue> plain_inputs(std::initializer_list<std::uint64_t> raws) {
   std::vector<WireValue> out;
   for (auto r : raws) out.push_back(WireValue::plain(Value(r)));
@@ -27,7 +30,7 @@ std::vector<WireValue> uniform_inputs(std::uint32_t n, std::uint64_t raw) {
 TEST(FallbackBa, UnanimousFailureFree) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_fallback_ba(spec, uniform_inputs(5, 9), adv);
+  const auto res = kFallbackBa.run(spec, {uniform_inputs(5, 9)}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(9));
 }
@@ -36,7 +39,7 @@ TEST(FallbackBa, MixedInputsAgreeOnSomeInput) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
   const auto res =
-      harness::run_fallback_ba(spec, plain_inputs({1, 2, 1, 2, 1}), adv);
+      kFallbackBa.run(spec, {plain_inputs({1, 2, 1, 2, 1})}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(1));  // raw-majority 3 vs 2
 }
@@ -45,7 +48,7 @@ TEST(FallbackBa, UnanimityUnderMaximalCrash) {
   // f = t silent processes: the remaining t+1 correct slots still dominate.
   auto spec = RunSpec::for_t(3);  // n = 7
   adv::CrashAdversary adv({0, 2, 4});
-  const auto res = harness::run_fallback_ba(spec, uniform_inputs(7, 5), adv);
+  const auto res = kFallbackBa.run(spec, {uniform_inputs(7, 5)}, adv);
   EXPECT_EQ(res.f(), 3u);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(5));
@@ -55,7 +58,7 @@ TEST(FallbackBa, AgreementUnderCrashWithSplitInputs) {
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({1, 3, 5});
   const auto res =
-      harness::run_fallback_ba(spec, plain_inputs({0, 0, 0, 1, 1, 1, 1}), adv);
+      kFallbackBa.run(spec, {plain_inputs({0, 0, 0, 1, 1, 1, 1})}, adv);
   EXPECT_TRUE(res.agreement());
   // Surviving slots: p0=0, p2=0, p4=1, p6=1 — deterministic tie-break on
   // the smaller raw.
@@ -66,7 +69,7 @@ TEST(FallbackBa, MidRunCrashKeepsAgreement) {
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({0, 1}, /*from_round=*/2);
   const auto res =
-      harness::run_fallback_ba(spec, plain_inputs({7, 7, 7, 8, 8, 7, 8}), adv);
+      kFallbackBa.run(spec, {plain_inputs({7, 7, 7, 8, 8, 7, 8})}, adv);
   EXPECT_TRUE(res.agreement());
 }
 
@@ -110,7 +113,7 @@ TEST(FallbackBa, EquivocatingInstanceIsNeutralized) {
   // (hence ⊥), and the correct slots decide the run.
   auto spec = RunSpec::for_t(2);  // n = 5
   DsEquivocator adv(spec.instance, 0, Value(100), Value(200));
-  const auto res = harness::run_fallback_ba(spec, uniform_inputs(5, 3), adv);
+  const auto res = kFallbackBa.run(spec, {uniform_inputs(5, 3)}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(3));
 }
@@ -118,10 +121,10 @@ TEST(FallbackBa, EquivocatingInstanceIsNeutralized) {
 TEST(FallbackBa, DecideAtMostOnceAndSlotsConsistent) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_fallback_ba(spec, uniform_inputs(5, 4), adv);
-  for (const auto& d : res.decisions) {
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->value, Value(4));
+  const auto res = kFallbackBa.run(spec, {uniform_inputs(5, 4)}, adv);
+  for (const auto& o : res.outcomes) {
+    ASSERT_TRUE(o.has_value());
+    EXPECT_EQ(o->decision.value, Value(4));
   }
 }
 
@@ -132,15 +135,15 @@ TEST(FallbackBa, DecideAtMostOnceAndSlotsConsistent) {
 TEST(DsBbBaseline, CorrectSenderDelivers) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_ds_bb(spec, 1, Value(77), adv);
+  const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(77)), 1}, adv);
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(77));
+  EXPECT_EQ(res.decision().value, Value(77));
 }
 
 TEST(DsBbBaseline, SilentSenderYieldsBottomEverywhere) {
   auto spec = RunSpec::for_t(2);
   adv::CrashAdversary adv({0});
-  const auto res = harness::run_ds_bb(spec, 0, Value(77), adv);
+  const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(77)), 0}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.decision().is_bottom());
 }
@@ -148,16 +151,16 @@ TEST(DsBbBaseline, SilentSenderYieldsBottomEverywhere) {
 TEST(DsBbBaseline, EquivocatingSenderStillAgrees) {
   auto spec = RunSpec::for_t(2);
   DsEquivocator adv(spec.instance, 2, Value(5), Value(6));
-  const auto res = harness::run_ds_bb(spec, 2, Value(5), adv);
+  const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(5)), 2}, adv);
   EXPECT_TRUE(res.agreement());  // all ⊥ or all the same extracted value
 }
 
 TEST(DsBbBaseline, CorrectSenderUnderMaxCrashOfOthers) {
   auto spec = RunSpec::for_t(3);  // n = 7
   adv::CrashAdversary adv({1, 2, 3});
-  const auto res = harness::run_ds_bb(spec, 0, Value(12), adv);
+  const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(12)), 0}, adv);
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(12));
+  EXPECT_EQ(res.decision().value, Value(12));
 }
 
 TEST(DsBbBaseline, QuadraticCostEvenFailureFree) {
@@ -165,7 +168,7 @@ TEST(DsBbBaseline, QuadraticCostEvenFailureFree) {
   // costs O(n).
   auto spec = RunSpec::for_t(5);  // n = 11
   adv::NullAdversary adv;
-  const auto res = harness::run_ds_bb(spec, 0, Value(1), adv);
+  const auto res = kDsBb.run(spec, {kDsBb.prepare(spec.n, Value(1)), 0}, adv);
   // Sender broadcast (n words min) plus every process relaying once.
   EXPECT_GE(res.meter.words_correct,
             static_cast<std::uint64_t>(spec.n) * (spec.n - 1));
@@ -346,7 +349,7 @@ TEST_P(FallbackSweep, UnanimityAndAgreementUnderCrash) {
   for (std::uint32_t i = 0; i < f; ++i) victims.push_back(i * 2 % spec.n);
   adv::CrashAdversary adv(victims);
   const auto res =
-      harness::run_fallback_ba(spec, uniform_inputs(spec.n, 42), adv);
+      kFallbackBa.run(spec, {uniform_inputs(spec.n, 42)}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(42));
 }

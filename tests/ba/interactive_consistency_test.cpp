@@ -14,16 +14,20 @@ namespace {
 
 using harness::RunSpec;
 
-std::vector<Value> indexed(std::uint32_t n) {
-  std::vector<Value> out;
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(Value(100 + i));
+const harness::ProtocolDriver& kIc = *harness::find_driver("ic");
+
+std::vector<WireValue> indexed(std::uint32_t n) {
+  std::vector<WireValue> out;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.push_back(WireValue::plain(Value(100 + i)));
+  }
   return out;
 }
 
 TEST(InteractiveConsistency, FailureFreeFullVector) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+  const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   const auto vec = res.vector();
@@ -36,7 +40,7 @@ TEST(InteractiveConsistency, FailureFreeFullVector) {
 TEST(InteractiveConsistency, CrashedProcessesYieldBottomSlots) {
   auto spec = RunSpec::for_t(2);
   adv::CrashAdversary adv({1, 3});
-  const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+  const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   const auto vec = res.vector();
@@ -56,7 +60,7 @@ TEST(InteractiveConsistency, EquivocatorSlotIsCommonAcrossReplicas) {
   adv::BbEquivocatingSender adv(2, lane_instance,
                                 adv::SenderMode::kEquivocate, Value(70),
                                 Value(71));
-  const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+  const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   const auto vec = res.vector();
@@ -70,7 +74,7 @@ TEST(InteractiveConsistency, EquivocatorSlotIsCommonAcrossReplicas) {
 TEST(InteractiveConsistency, SurvivesFuzzing) {
   auto spec = RunSpec::for_t(2);
   adv::Fuzzer adv(spec.instance, 77, 1, 3);
-  const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+  const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // Correct lanes must still deliver their senders' values (fuzzer
@@ -86,7 +90,7 @@ TEST(InteractiveConsistency, OverTheWireCodec) {
   auto spec = RunSpec::for_t(2);
   spec.codec_roundtrip = true;
   adv::CrashAdversary adv({0});
-  const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+  const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.vector()[0].is_bottom());
@@ -99,7 +103,7 @@ TEST(InteractiveConsistency, CostIsQuadraticFailureFree) {
   for (std::uint32_t t : {2u, 4u, 8u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_ic(spec, indexed(spec.n), adv);
+    const auto res = kIc.run(spec, {indexed(spec.n)}, adv);
     EXPECT_TRUE(res.agreement());
     ns.push_back(spec.n);
     words.push_back(static_cast<double>(res.meter.words_correct));

@@ -18,6 +18,10 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
 std::vector<ProcessId> first_f(std::uint32_t f) {
   std::vector<ProcessId> v;
   for (std::uint32_t i = 0; i < f; ++i) v.push_back(i);
@@ -43,7 +47,7 @@ TEST(LemmaSuite, Lemma9_NonSilentCorrectLeaderPhaseRescuesEveryone) {
   // vetting phase is ever non-silent.
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({0});  // sender p0 silent; leader p0's phase dead
-  const auto res = harness::run_bb(spec, 0, Value(5), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(5)), 0}, adv);
   EXPECT_TRUE(res.agreement());
   // Phase 1's leader is the crashed sender; phase 2's leader p1 rescues.
   EXPECT_EQ(res.nonsilent_leaders(), 1u);
@@ -57,7 +61,8 @@ TEST(LemmaSuite, Lemma10_CorrectSenderPreventsIdkCertificates) {
   for (std::uint32_t f : {0u, 2u}) {
     auto spec = RunSpec::for_t(5);
     adv::CrashAdversary adv(first_f(f));  // sender is n-1
-    const auto res = harness::run_bb(spec, spec.n - 1, Value(5), adv);
+    const auto res =
+        kBb.run(spec, {kBb.prepare(spec.n, Value(5)), spec.n - 1}, adv);
     EXPECT_TRUE(res.agreement());
     EXPECT_EQ(res.meter.words_by_kind().count("bb.idk"), 0u) << "f=" << f;
   }
@@ -72,7 +77,7 @@ TEST(LemmaSuite, Lemma11_AllCorrectEnterWeakBaWithValidInputs) {
                     adv::SenderMode::kPartial}) {
     adv::BbEquivocatingSender adv(1, spec.instance, mode, Value(5), Value(6),
                                   2);
-    const auto res = harness::run_bb(spec, 1, Value(5), adv);
+    const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(5)), 1}, adv);
     EXPECT_TRUE(res.all_decided());
     EXPECT_TRUE(res.agreement());
   }
@@ -83,10 +88,11 @@ TEST(LemmaSuite, Lemma12_Validity_CorrectSenderValueAlwaysWins) {
   for (std::uint32_t t : {2u, 3u, 5u}) {
     auto spec = RunSpec::for_t(t);
     adv::CrashAdversary adv(first_f(t));  // maximal crash, sender spared
-    const auto res = harness::run_bb(spec, spec.n - 1, Value(31), adv);
+    const auto res =
+        kBb.run(spec, {kBb.prepare(spec.n, Value(31)), spec.n - 1}, adv);
     EXPECT_TRUE(res.all_decided()) << "t=" << t;
     EXPECT_TRUE(res.agreement()) << "t=" << t;
-    EXPECT_EQ(res.decision(), Value(31)) << "t=" << t;
+    EXPECT_EQ(res.decision().value, Value(31)) << "t=" << t;
   }
 }
 
@@ -100,8 +106,7 @@ TEST(LemmaSuite, Lemma14_UpdatedDecisionsAreValid) {
   // adversarial decision path; the decided value must pass the predicate.
   auto spec = RunSpec::for_t(2);
   adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(44)), 0, 1);
-  const auto res = harness::run_weak_ba(spec, plain_inputs(spec.n),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(AlwaysValid{}.validate(res.decision()));
 }
@@ -116,8 +121,7 @@ TEST(LemmaSuite, Lemma15_AtMostOneFinalizeCertificateEver) {
     auto spec = RunSpec::for_t(3);
     adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(50)), 1,
                           recipients);
-    const auto res = harness::run_weak_ba(
-        spec, plain_inputs(spec.n), harness::always_valid_factory(), adv);
+    const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
     EXPECT_TRUE(res.all_decided()) << recipients;
     EXPECT_TRUE(res.agreement()) << recipients;
     EXPECT_EQ(res.decision().value, Value(50)) << recipients;
@@ -267,8 +271,7 @@ TEST(LemmaSuite, Lemma15_TwoPhaseConflictCannotDoubleFinalize) {
   adv::WbaTwoPhaseConflict adv(spec.instance, 1, WireValue::plain(Value(71)),
                                WireValue::plain(Value(72)),
                                /*extra=*/2, /*reveal=*/2);
-  const auto res = harness::run_weak_ba(spec, plain_inputs(spec.n),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
   EXPECT_TRUE(adv.committed_v());   // the v-commit certificate was real
   EXPECT_TRUE(adv.committed_w());   // and so was the conflicting w-commit
   EXPECT_TRUE(adv.finalized_w());   // w finalized (v never can now)
@@ -285,8 +288,7 @@ TEST(LemmaSuite, Lemma15_WideCommitRevealBlocksTheConflictingCommit) {
   adv::WbaTwoPhaseConflict adv(spec.instance, 1, WireValue::plain(Value(71)),
                                WireValue::plain(Value(72)),
                                /*extra=*/2, /*reveal=*/4);
-  const auto res = harness::run_weak_ba(spec, plain_inputs(spec.n),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
   EXPECT_TRUE(adv.committed_v());
   EXPECT_FALSE(adv.committed_w());  // the Section 6 arithmetic held
   EXPECT_TRUE(res.all_decided());
@@ -301,9 +303,8 @@ TEST(LemmaSuite, Lemma16_CorrectLeaderPhaseDecidesEveryoneInRegime) {
   auto spec = RunSpec::for_t(5);  // boundary f <= 2
   for (std::uint32_t f = 0; f <= 2; ++f) {
     adv::CrashAdversary adv(first_f(f));
-    const auto res = harness::run_weak_ba(
-        spec, plain_inputs(spec.n), harness::always_valid_factory(), adv);
-    for (const auto& s : res.stats) {
+    const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
+    for (const auto& s : res.outcomes) {
       if (!s) continue;
       EXPECT_EQ(s->decided_phase, f + 1) << "f=" << f;
     }
@@ -316,10 +317,9 @@ TEST(LemmaSuite, Lemma17_FallbackParticipationIsAllOrNothing) {
   for (std::uint32_t t : {2u, 3u, 4u}) {
     auto spec = RunSpec::for_t(t);
     adv::CrashAdversary adv(first_f(t));
-    const auto res = harness::run_weak_ba(
-        spec, plain_inputs(spec.n), harness::always_valid_factory(), adv);
+    const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
     bool any = false, all = true;
-    for (const auto& s : res.stats) {
+    for (const auto& s : res.outcomes) {
       if (!s) continue;
       any |= s->fallback_participant;
       all &= s->fallback_participant;
@@ -338,8 +338,7 @@ TEST(LemmaSuite, Lemma19_PreFallbackDecisionSurvivesTheFallback) {
                         /*extra=*/1, /*finalize_recipients=*/1);
   // f = 2 > boundary: the run must fall back, and the early decider's
   // value must win through the safety-window adoption.
-  const auto res = harness::run_weak_ba(spec, plain_inputs(spec.n),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(61));
@@ -362,15 +361,13 @@ TEST(LemmaSuite, Lemma19_PoisonHelpCannotStrandTheLoneDecider) {
   adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(77)),
                         /*extra=*/2, /*finalize_recipients=*/0,
                         /*poison_help=*/true);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(5))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(5))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // The disclosed decision must win everywhere (not just at the victim).
   EXPECT_EQ(res.decision().value, Value(77));
   std::uint32_t deciders_77 = 0;
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     if (s && s->decision.value == Value(77)) ++deciders_77;
   }
   EXPECT_EQ(deciders_77, spec.n - res.f());
@@ -381,8 +378,7 @@ TEST(LemmaSuite, Lemma21_Termination_EveryCorrectProcessDecides) {
     for (std::uint32_t f = 0; f <= t; ++f) {
       auto spec = RunSpec::for_t(t);
       adv::CrashAdversary adv(first_f(f));
-      const auto res = harness::run_weak_ba(
-          spec, plain_inputs(spec.n), harness::always_valid_factory(), adv);
+      const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
       EXPECT_TRUE(res.all_decided()) << "t=" << t << " f=" << f;
     }
   }
@@ -406,8 +402,10 @@ TEST(LemmaSuite, Lemma22_BottomOnlyWhenMultipleValidValuesExist) {
     return std::make_shared<const InputCertified>(fam, instance);
   };
   adv::CrashAdversary adv(first_f(3));
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, attested), factory, adv);
+  harness::RunInputs inputs;
+  inputs.values.assign(spec.n, attested);
+  inputs.predicate = factory;
+  const auto res = kWeakBa.run(spec, inputs, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_FALSE(res.decision().is_bottom());
   EXPECT_EQ(res.decision().value, Value(9));
@@ -488,8 +486,7 @@ TEST(LemmaSuite, Lemma6_NoFallbackBelowTheBoundary) {
     const std::uint32_t boundary = spec.n - commit_quorum(spec.n, spec.t);
     for (std::uint32_t f = 0; f <= boundary; ++f) {
       adv::CrashAdversary adv(first_f(f));
-      const auto res = harness::run_weak_ba(
-          spec, plain_inputs(spec.n), harness::always_valid_factory(), adv);
+      const auto res = kWeakBa.run(spec, {plain_inputs(spec.n)}, adv);
       EXPECT_FALSE(res.any_fallback()) << "t=" << t << " f=" << f;
     }
   }
@@ -500,8 +497,8 @@ TEST(LemmaSuite, Lemma8_FailureFreeAlgorithm5NeverFallsBack) {
   for (std::uint32_t t : {2u, 5u, 10u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_strong_ba(
-        spec, std::vector<Value>(spec.n, Value(t % 2)), adv);
+    const auto res = kStrongBa.run(
+        spec, {kStrongBa.prepare(spec.n, Value(t % 2))}, adv);
     EXPECT_FALSE(res.any_fallback()) << "t=" << t;
     EXPECT_TRUE(res.all_fast()) << "t=" << t;
   }
@@ -517,11 +514,11 @@ TEST(LemmaSuite, Lemma26_Agreement_HiddenCertificateCannotSplit) {
   for (std::uint32_t reach : {1u, 2u, 4u}) {
     auto spec = RunSpec::for_t(2);
     adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kHideDecide, reach);
-    const auto res = harness::run_strong_ba(
-        spec, std::vector<Value>(spec.n, Value(1)), adv);
+    const auto res =
+        kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
     EXPECT_TRUE(res.all_decided()) << reach;
     EXPECT_TRUE(res.agreement()) << reach;
-    EXPECT_EQ(res.decision(), Value(1)) << reach;
+    EXPECT_EQ(res.decision().value, Value(1)) << reach;
   }
 }
 
@@ -530,9 +527,11 @@ TEST(LemmaSuite, Lemma27_Termination_AllAdversaries) {
   for (auto mode : {adv::Alg5Mode::kSilent, adv::Alg5Mode::kSplitPropose,
                     adv::Alg5Mode::kHideDecide}) {
     adv::Alg5Withhold adv(spec.instance, mode, 1);
-    std::vector<Value> mixed;
-    for (std::uint32_t i = 0; i < spec.n; ++i) mixed.push_back(Value(i % 2));
-    const auto res = harness::run_strong_ba(spec, mixed, adv);
+    std::vector<WireValue> mixed;
+    for (std::uint32_t i = 0; i < spec.n; ++i) {
+      mixed.push_back(WireValue::plain(Value(i % 2)));
+    }
+    const auto res = kStrongBa.run(spec, {mixed}, adv);
     EXPECT_TRUE(res.all_decided());
     EXPECT_TRUE(res.agreement());
   }
@@ -544,9 +543,10 @@ TEST(LemmaSuite, Lemma28_StrongUnanimity) {
     for (std::uint32_t f : {0u, 1u, 3u}) {
       auto spec = RunSpec::for_t(3);
       adv::CrashAdversary adv(first_f(f));
-      const auto res = harness::run_strong_ba(
-          spec, std::vector<Value>(spec.n, Value(bit)), adv);
-      EXPECT_EQ(res.decision(), Value(bit)) << "bit=" << bit << " f=" << f;
+      const auto res =
+          kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(bit))}, adv);
+      EXPECT_EQ(res.decision().value, Value(bit))
+          << "bit=" << bit << " f=" << f;
     }
   }
 }

@@ -57,18 +57,20 @@ MvbaResult run_mvba(const RunSpec& spec, const std::vector<Value>& inputs,
     ctx.keys = &bundles[p];
     procs.push_back(std::make_unique<ic::MultiValuedBaProcess>(ctx, inputs[p]));
   }
-  Executor exec(family, std::move(bundles), std::move(procs), adversary);
-  exec.run(ic::MultiValuedBaProcess::total_rounds(spec.n, spec.t));
+  const auto exec = make_executor(ExecutorKind::kLockstep, family,
+                                  std::move(bundles), std::move(procs),
+                                  adversary);
+  exec->run(ic::MultiValuedBaProcess::total_rounds(spec.n, spec.t));
 
   MvbaResult res;
-  res.meter = exec.meter();
-  res.corrupted = exec.corrupted();
+  res.meter = exec->meter();
+  res.corrupted = exec->corrupted();
   for (ProcessId p = 0; p < spec.n; ++p) {
-    if (exec.is_corrupted(p)) {
+    if (exec->is_corrupted(p)) {
       res.decisions.push_back(std::nullopt);
     } else {
       const auto& proc =
-          static_cast<const ic::MultiValuedBaProcess&>(exec.process(p));
+          static_cast<const ic::MultiValuedBaProcess&>(exec->process(p));
       EXPECT_TRUE(proc.stats().decided);
       res.decisions.push_back(proc.decision());
     }

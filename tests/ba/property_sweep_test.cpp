@@ -18,6 +18,8 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 std::string failure_label(const check::CampaignReport& report) {
   const auto* f = report.first_failure();
   if (f == nullptr) return {};
@@ -183,8 +185,10 @@ TEST_P(WeakBaSweep, UnanimityImpliesNoBottomWithUnforgeablePredicate) {
     return std::make_shared<const InputCertified>(fam, instance);
   };
   adv::CrashAdversary adv(random_victims(rng, spec.n, f));
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, attested), factory, adv);
+  harness::RunInputs inputs;
+  inputs.values.assign(spec.n, attested);
+  inputs.predicate = factory;
+  const auto res = kWeakBa.run(spec, inputs, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(6));

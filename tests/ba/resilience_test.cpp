@@ -14,6 +14,10 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
 std::vector<ProcessId> first_f(std::uint32_t f) {
   std::vector<ProcessId> v;
   for (std::uint32_t i = 0; i < f; ++i) v.push_back(i);
@@ -49,9 +53,7 @@ TEST_P(ResilienceSweep, WeakBaCorrectAtWiderResilience) {
   const auto [n, t, f] = GetParam();
   auto spec = RunSpec::with(n, t);
   adv::CrashAdversary adv(first_f(f));
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(3));
@@ -65,10 +67,10 @@ TEST_P(ResilienceSweep, BbCorrectAtWiderResilience) {
   auto spec = RunSpec::with(n, t);
   const ProcessId sender = n - 1;  // outside the crash set
   adv::CrashAdversary adv(first_f(f));
-  const auto res = harness::run_bb(spec, sender, Value(17), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(17)), sender}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(17));
+  EXPECT_EQ(res.decision().value, Value(17));
 }
 
 TEST_P(ResilienceSweep, StrongBaCorrectAtWiderResilience) {
@@ -76,10 +78,10 @@ TEST_P(ResilienceSweep, StrongBaCorrectAtWiderResilience) {
   auto spec = RunSpec::with(n, t);
   adv::CrashAdversary adv(first_f(f));
   const auto res =
-      harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)), adv);
+      kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,13 +106,11 @@ TEST(Resilience, ThreeTPlusOneNeverFallsBackEvenAtMaxF) {
   const std::uint32_t t = 4;
   auto spec = RunSpec::with(3 * t + 1, t);
   adv::CrashAdversary adv(first_f(t));
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(8))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(8))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
-  EXPECT_EQ(res.help_reqs_sent(), 0u);
+  EXPECT_EQ(res.help_reqs(), 0u);
   EXPECT_EQ(res.decision().value, Value(8));
 }
 
@@ -119,14 +119,10 @@ TEST(Resilience, WiderGapShrinksWorstCaseCost) {
   // fallback; at n = 3t+1 it stays in the cheap adaptive path.
   const std::uint32_t t = 3;
   adv::CrashAdversary a1(first_f(t)), a2(first_f(t));
-  const auto tight = harness::run_weak_ba(
-      RunSpec::for_t(t),
-      std::vector<WireValue>(n_for_t(t), WireValue::plain(Value(8))),
-      harness::always_valid_factory(), a1);
-  const auto wide = harness::run_weak_ba(
-      RunSpec::with(3 * t + 1, t),
-      std::vector<WireValue>(3 * t + 1, WireValue::plain(Value(8))),
-      harness::always_valid_factory(), a2);
+  const auto tight = kWeakBa.run(
+      RunSpec::for_t(t), {kWeakBa.prepare(n_for_t(t), Value(8))}, a1);
+  const auto wide = kWeakBa.run(RunSpec::with(3 * t + 1, t),
+                                {kWeakBa.prepare(3 * t + 1, Value(8))}, a2);
   EXPECT_TRUE(tight.any_fallback());
   EXPECT_FALSE(wide.any_fallback());
   EXPECT_LT(wide.meter.words_correct, tight.meter.words_correct);

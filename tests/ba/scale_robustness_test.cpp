@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ba/adversaries/adversaries.hpp"
+#include "ba/bb/bb.hpp"
 #include "ba/harness.hpp"
 #include "smr/ledger.hpp"
 
@@ -11,12 +12,14 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
 TEST(Scale, WeakBaAtHundredProcesses) {
   auto spec = RunSpec::for_t(50);  // n = 101
   adv::CrashAdversary adv({0, 1});
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
@@ -28,9 +31,9 @@ TEST(Scale, WeakBaAtHundredProcesses) {
 TEST(Scale, BbAtHundredProcessesFailureFree) {
   auto spec = RunSpec::for_t(50);
   adv::NullAdversary adv;
-  const auto res = harness::run_bb(spec, 100, Value(9), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(9)), 100}, adv);
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(9));
+  EXPECT_EQ(res.decision().value, Value(9));
   EXPECT_LE(res.meter.words_correct, 16ull * spec.n);
 }
 
@@ -38,7 +41,7 @@ TEST(Scale, StrongBaAtTwoHundredProcesses) {
   auto spec = RunSpec::for_t(100);  // n = 201
   adv::NullAdversary adv;
   const auto res =
-      harness::run_strong_ba(spec, std::vector<Value>(spec.n, Value(1)), adv);
+      kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
   EXPECT_TRUE(res.all_fast());
   EXPECT_LE(res.meter.words_correct, 10ull * spec.n);
 }
@@ -47,9 +50,7 @@ TEST(Scale, LeaderKillerAtScaleStaysLinear) {
   auto spec = RunSpec::for_t(40);  // n = 81, boundary f <= 20
   const std::uint32_t f = 10;
   adv::AdaptiveLeaderCrash adv(3, 5, spec.n, f);
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(3))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(3))}, adv);
   EXPECT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
   EXPECT_LE(res.meter.words_correct, 30ull * spec.n * (f + 1));
@@ -62,9 +63,8 @@ TEST(Robustness, WeakBaWithPredicateInvalidInputsStillTerminates) {
   // the run must flow through help/fallback and still agree — on ⊥.
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, bottom_value()),
-      harness::always_valid_factory(), adv);
+  const auto res =
+      kWeakBa.run(spec, {std::vector<WireValue>(spec.n, bottom_value())}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.decision().is_bottom());
@@ -79,8 +79,7 @@ TEST(Robustness, MixedValidityInputsDegradeGracefully) {
                                    bottom_value(), WireValue::plain(Value(5)),
                                    bottom_value()};
   adv::NullAdversary adv;
-  const auto res = harness::run_weak_ba(spec, inputs,
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {inputs}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // p0's ⊥ phase fails; p1's phase certifies 4.

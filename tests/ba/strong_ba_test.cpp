@@ -13,23 +13,27 @@ namespace {
 
 using harness::RunSpec;
 
-std::vector<Value> binary_inputs(std::initializer_list<int> bits) {
-  std::vector<Value> out;
-  for (int b : bits) out.push_back(Value(static_cast<std::uint64_t>(b)));
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
+std::vector<WireValue> binary_inputs(std::initializer_list<int> bits) {
+  std::vector<WireValue> out;
+  for (int b : bits) {
+    out.push_back(WireValue::plain(Value(static_cast<std::uint64_t>(b))));
+  }
   return out;
 }
 
-std::vector<Value> uniform_bits(std::uint32_t n, int b) {
-  return std::vector<Value>(n, Value(static_cast<std::uint64_t>(b)));
+std::vector<WireValue> uniform_bits(std::uint32_t n, int b) {
+  return kStrongBa.prepare(n, Value(static_cast<std::uint64_t>(b)));
 }
 
 TEST(StrongBa, FailureFreeUnanimousDecidesFast) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_strong_ba(spec, uniform_bits(5, 1), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(5, 1)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
   EXPECT_TRUE(res.all_fast());            // all via the decide certificate
   EXPECT_FALSE(res.any_fallback());       // Lemma 8
 }
@@ -38,10 +42,10 @@ TEST(StrongBa, FailureFreeMixedDecidesMajorityCertifiedValue) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
   const auto res =
-      harness::run_strong_ba(spec, binary_inputs({1, 1, 0, 1, 0}), adv);
+      kStrongBa.run(spec, {binary_inputs({1, 1, 0, 1, 0})}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));  // 1 has t+1 = 3 supporters
+  EXPECT_EQ(res.decision().value, Value(1));  // 1 has t+1 = 3 supporters
   EXPECT_TRUE(res.all_fast());
 }
 
@@ -50,7 +54,7 @@ TEST(StrongBa, FailureFreeWordsAreLinear) {
   for (std::uint32_t t : {2u, 5u, 10u}) {
     auto spec = RunSpec::for_t(t);
     adv::NullAdversary adv;
-    const auto res = harness::run_strong_ba(spec, uniform_bits(spec.n, 0), adv);
+    const auto res = kStrongBa.run(spec, {uniform_bits(spec.n, 0)}, adv);
     EXPECT_TRUE(res.all_fast());
     EXPECT_LE(res.meter.words_correct, 10ull * spec.n) << "t=" << t;
   }
@@ -61,39 +65,39 @@ TEST(StrongBa, SingleCrashForcesFallbackButPreservesUnanimity) {
   // fast path, and strong unanimity must survive the fallback.
   auto spec = RunSpec::for_t(2);
   adv::CrashAdversary adv({3});
-  const auto res = harness::run_strong_ba(spec, uniform_bits(5, 1), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(5, 1)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
   EXPECT_TRUE(res.any_fallback());
 }
 
 TEST(StrongBa, CrashedLeaderStillTerminates) {
   auto spec = RunSpec::for_t(2);
   adv::CrashAdversary adv({sba::StrongBaProcess::kLeader});
-  const auto res = harness::run_strong_ba(spec, uniform_bits(5, 0), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(5, 0)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(0));
+  EXPECT_EQ(res.decision().value, Value(0));
   EXPECT_TRUE(res.any_fallback());
 }
 
 TEST(StrongBa, MaximalCrashUnanimity) {
   auto spec = RunSpec::for_t(3);  // n = 7
   adv::CrashAdversary adv({0, 2, 4});
-  const auto res = harness::run_strong_ba(spec, uniform_bits(7, 1), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(7, 1)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
 }
 
 TEST(StrongBa, SilentByzantineLeaderUnanimity) {
   auto spec = RunSpec::for_t(2);
   adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kSilent);
-  const auto res = harness::run_strong_ba(spec, uniform_bits(5, 1), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(5, 1)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
 }
 
 TEST(StrongBa, SplitProposeCertificatesStillAgree) {
@@ -103,10 +107,10 @@ TEST(StrongBa, SplitProposeCertificatesStillAgree) {
   auto spec = RunSpec::for_t(2);
   adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kSplitPropose);
   const auto res =
-      harness::run_strong_ba(spec, binary_inputs({0, 0, 1, 1, 0}), adv);
+      kStrongBa.run(spec, {binary_inputs({0, 0, 1, 1, 0})}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  const Value d = res.decision();
+  const Value d = res.decision().value;
   EXPECT_TRUE(d == Value(0) || d == Value(1));
 }
 
@@ -118,13 +122,13 @@ TEST(StrongBa, HiddenDecideCertificateAdoptedInWindow) {
   auto spec = RunSpec::for_t(2);
   adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kHideDecide,
                         /*reach=*/1);
-  const auto res = harness::run_strong_ba(spec, uniform_bits(5, 1), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(5, 1)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
   // Exactly one process decided via the certificate.
   std::uint32_t fast = 0;
-  for (const auto& s : res.stats) fast += (s && s->decided_fast) ? 1 : 0;
+  for (const auto& s : res.outcomes) fast += (s && s->decided_fast) ? 1 : 0;
   EXPECT_EQ(fast, 1u);
 }
 
@@ -133,10 +137,10 @@ TEST(StrongBa, SplitInputsWithByzantineLeaderNeverLeaveDomain) {
   auto spec = RunSpec::for_t(3);
   adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kSplitPropose);
   const auto res =
-      harness::run_strong_ba(spec, binary_inputs({0, 1, 0, 1, 0, 1, 0}), adv);
+      kStrongBa.run(spec, {binary_inputs({0, 1, 0, 1, 0, 1, 0})}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_LE(res.decision().raw, 1u);
+  EXPECT_LE(res.decision().value.raw, 1u);
 }
 
 struct UnanimityParam {
@@ -156,10 +160,10 @@ TEST_P(StrongBaUnanimitySweep, CrashPatternsPreserveUnanimity) {
     victims.push_back((i * 3 + 1) % spec.n);
   }
   adv::CrashAdversary adv(victims);
-  const auto res = harness::run_strong_ba(spec, uniform_bits(spec.n, bit), adv);
+  const auto res = kStrongBa.run(spec, {uniform_bits(spec.n, bit)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(static_cast<std::uint64_t>(bit)));
+  EXPECT_EQ(res.decision().value, Value(static_cast<std::uint64_t>(bit)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

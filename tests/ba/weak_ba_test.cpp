@@ -13,6 +13,8 @@ namespace {
 
 using harness::RunSpec;
 
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+
 std::vector<WireValue> uniform_inputs(std::uint32_t n, std::uint64_t raw) {
   return std::vector<WireValue>(n, WireValue::plain(Value(raw)));
 }
@@ -28,18 +30,17 @@ std::vector<WireValue> indexed_inputs(std::uint32_t n) {
 TEST(WeakBa, FailureFreeDecidesInFirstPhase) {
   auto spec = RunSpec::for_t(2);
   adv::NullAdversary adv;
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(5),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(5)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // Phase 1's leader is p0; its proposal is everyone's decision.
   EXPECT_EQ(res.decision().value, Value(100));
-  for (const auto& s : res.stats) {
+  for (const auto& s : res.outcomes) {
     ASSERT_TRUE(s.has_value());
     EXPECT_EQ(s->decided_phase, 1u);
   }
   EXPECT_FALSE(res.any_fallback());
-  EXPECT_EQ(res.help_reqs_sent(), 0u);
+  EXPECT_EQ(res.help_reqs(), 0u);
   EXPECT_EQ(res.nonsilent_leaders(), 1u);  // only p0 spoke
 }
 
@@ -49,8 +50,7 @@ TEST(WeakBa, CrashedFirstLeadersAreSkippedSilently) {
   auto spec = RunSpec::for_t(5);
   ASSERT_TRUE(adaptive_regime(spec.n, spec.t, 2));
   adv::CrashAdversary adv({0, 1});
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(spec.n),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(spec.n)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // Phases 1-2 are dead; p2's phase decides with p2's input.
@@ -67,12 +67,11 @@ TEST(WeakBa, AdaptiveRegimeNeverFallsBack) {
     std::vector<ProcessId> victims;
     for (std::uint32_t i = 0; i < f; ++i) victims.push_back(i);
     adv::CrashAdversary adv(victims);
-    const auto res = harness::run_weak_ba(
-        spec, indexed_inputs(11), harness::always_valid_factory(), adv);
+    const auto res = kWeakBa.run(spec, {indexed_inputs(11)}, adv);
     EXPECT_TRUE(res.all_decided()) << "f=" << f;
     EXPECT_TRUE(res.agreement()) << "f=" << f;
     EXPECT_FALSE(res.any_fallback()) << "f=" << f;
-    EXPECT_EQ(res.help_reqs_sent(), 0u) << "f=" << f;
+    EXPECT_EQ(res.help_reqs(), 0u) << "f=" << f;
   }
 }
 
@@ -80,8 +79,7 @@ TEST(WeakBa, MaximalCrashTriggersFallbackAndStillAgrees) {
   auto spec = RunSpec::for_t(3);  // n = 7
   adv::CrashAdversary adv({0, 1, 2});
   ASSERT_FALSE(adaptive_regime(spec.n, spec.t, 3));
-  const auto res = harness::run_weak_ba(spec, uniform_inputs(7, 55),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {uniform_inputs(7, 55)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_TRUE(res.any_fallback());
@@ -93,8 +91,7 @@ TEST(WeakBa, MaximalCrashTriggersFallbackAndStillAgrees) {
 TEST(WeakBa, MaximalCrashMixedInputsDecideValidOrBottom) {
   auto spec = RunSpec::for_t(3);
   adv::CrashAdversary adv({4, 5, 6});
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(7),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(7)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   // Unique validity: the decision is a valid value or ⊥ (and here several
@@ -111,14 +108,13 @@ TEST(WeakBa, CertSplitCreatesEarlyDeciderThenHeals) {
   auto spec = RunSpec::for_t(2);  // n = 5, quorum 4
   adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(777)),
                         /*extra_corruptions=*/0, /*finalize_recipients=*/1);
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(5),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(5)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(777));
   // p1 decided in phase 1 off the Byzantine finalize certificate.
-  ASSERT_TRUE(res.stats[1].has_value());
-  EXPECT_EQ(res.stats[1]->decided_phase, 1u);
+  ASSERT_TRUE(res.outcomes[1].has_value());
+  EXPECT_EQ(res.outcomes[1]->decided_phase, 1u);
 }
 
 TEST(WeakBa, HelpRoundRescuesStrandedProcesses) {
@@ -128,14 +124,13 @@ TEST(WeakBa, HelpRoundRescuesStrandedProcesses) {
   auto spec = RunSpec::for_t(3);  // n = 7, quorum 6
   adv::WbaCertSplit adv(spec.instance, 1, WireValue::plain(Value(888)),
                         /*extra_corruptions=*/2, /*finalize_recipients=*/1);
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(7),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(7)}, adv);
   EXPECT_EQ(res.f(), 3u);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(888));
   EXPECT_FALSE(res.any_fallback());       // < t+1 help requests
-  EXPECT_EQ(res.help_reqs_sent(), 3u);    // the three stranded processes
+  EXPECT_EQ(res.help_reqs(), 3u);    // the three stranded processes
 }
 
 TEST(WeakBa, HelpSpamForcesAnswersButNotDisagreement) {
@@ -147,8 +142,7 @@ TEST(WeakBa, HelpSpamForcesAnswersButNotDisagreement) {
   const Round help_round = 5 * spec.n + 1;
   adv::WbaHelpSpam adv(spec.instance, help_round, /*corruptions=*/1,
                        /*form_certificate=*/false, 0);
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(7),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(7)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
@@ -173,8 +167,7 @@ TEST(WeakBa, ByzantineFallbackCertificateDragsEveryoneIn) {
       spec.instance, help_round, 1, /*form_certificate=*/true,
       /*cert_recipients=*/1));
   adv::Composite adv(std::move(parts));
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(7),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(7)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(99));
@@ -183,8 +176,7 @@ TEST(WeakBa, ByzantineFallbackCertificateDragsEveryoneIn) {
 TEST(WeakBa, AdaptiveLeaderCrashMaximizesNonsilentPhasesButAgrees) {
   auto spec = RunSpec::for_t(4);  // n = 9, quorum 7, boundary f < 3
   adv::AdaptiveLeaderCrash adv(1, 5, spec.n, /*budget=*/2);
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(9),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(9)}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_FALSE(res.any_fallback());
@@ -212,8 +204,10 @@ TEST(WeakBa, UniqueValidityWithUnforgeablePredicate) {
     return std::make_shared<const InputCertified>(fam, instance);
   };
   adv::CrashAdversary adv({0, 1});  // f = t: forces the fallback
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, attested), factory, adv);
+  harness::RunInputs inputs;
+  inputs.values.assign(spec.n, attested);
+  inputs.predicate = factory;
+  const auto res = kWeakBa.run(spec, inputs, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(5));
@@ -225,8 +219,7 @@ TEST(WeakBa, DecidedPhaseLeadersStaySilent) {
   // exactly one non-silent leader in a failure-free run.
   auto spec = RunSpec::for_t(4);
   adv::NullAdversary adv;
-  const auto res = harness::run_weak_ba(spec, indexed_inputs(9),
-                                        harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {indexed_inputs(9)}, adv);
   EXPECT_EQ(res.nonsilent_leaders(), 1u);
   // And the phase window after phase 1 carries zero correct words.
   EXPECT_EQ(res.meter.words_in_rounds(6, 5 * spec.n + 1), 0u);

@@ -69,14 +69,15 @@ class BeatProcess final : public IProcess {
 struct Fixture {
   explicit Fixture(std::uint32_t t) : family(n_for_t(t), t) {}
 
-  Executor make(Adversary& adv) {
+  std::unique_ptr<IExecutor> make(Adversary& adv) {
     std::vector<KeyBundle> bundles;
     std::vector<std::unique_ptr<IProcess>> procs;
     for (ProcessId p = 0; p < family.n(); ++p) {
       bundles.push_back(family.issue_bundle(p));
       procs.push_back(std::make_unique<BeatProcess>());
     }
-    return Executor(family, std::move(bundles), std::move(procs), adv);
+    return make_executor(ExecutorKind::kLockstep, family, std::move(bundles),
+                         std::move(procs), adv);
   }
 
   ThresholdFamily family;
@@ -89,15 +90,15 @@ TEST(HotPathAllocations, SteadyStateRoundsAreAllocationFree) {
   ASSERT_TRUE(pool::enabled());
   Fixture fx(3);  // n = 7
   Adversary null_adv;
-  Executor exec = fx.make(null_adv);
+  const auto exec = fx.make(null_adv);
   constexpr Round kRounds = 16;
-  exec.run(kRounds);  // warm-up: pools fill, buffers reach full capacity
+  exec->run(kRounds);  // warm-up: pools fill, buffers reach full capacity
   const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  exec.run(kRounds);  // same schedule again — the steady state
+  exec->run(kRounds);  // same schedule again — the steady state
   const std::uint64_t after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state send/deliver path heap-allocated";
-  EXPECT_EQ(exec.meter().words_correct,
+  EXPECT_EQ(exec->meter().words_correct,
             2ull * kRounds * 7 * 6);  // both passes fully metered
 }
 
@@ -105,10 +106,10 @@ TEST(HotPathAllocations, PoolRecyclesPayloadBlocks) {
   ASSERT_TRUE(pool::enabled());
   Fixture fx(2);  // n = 5
   Adversary null_adv;
-  Executor exec = fx.make(null_adv);
-  exec.run(2);  // populate the free lists
+  const auto exec = fx.make(null_adv);
+  exec->run(2);  // populate the free lists
   pool::reset_thread_stats();
-  exec.run(8);
+  exec->run(8);
   const pool::Stats stats = pool::thread_stats();
   // One payload per process per round; every one after the warm-up must be
   // served from a free list.
@@ -120,10 +121,10 @@ TEST(HotPathAllocations, DisabledPoolStillRuns) {
   pool::set_enabled(false);
   Fixture fx(1);
   Adversary null_adv;
-  Executor exec = fx.make(null_adv);
-  exec.run(3);
+  const auto exec = fx.make(null_adv);
+  exec->run(3);
   pool::set_enabled(true);
-  EXPECT_EQ(exec.meter().words_correct, 3u * 3 * 2);
+  EXPECT_EQ(exec->meter().words_correct, 3u * 3 * 2);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "ba/adversaries/adversaries.hpp"
+#include "ba/bb/bb.hpp"
 #include "ba/harness.hpp"
 #include "net/loopback.hpp"
 
@@ -36,7 +37,7 @@ TEST(EventExecutor, HarnessRunMatchesLockstep) {
   const harness::RunReport event =
       driver->run(spec_for(ExecutorKind::kEvent), inputs, adv_event);
 
-  EXPECT_EQ(lock.decided, event.decided);
+  EXPECT_EQ(lock.outcomes, event.outcomes);
   EXPECT_EQ(lock.decision().value.raw, event.decision().value.raw);
   EXPECT_EQ(lock.meter.words_correct, event.meter.words_correct);
   EXPECT_EQ(lock.meter.messages_correct, event.meter.messages_correct);
@@ -58,7 +59,7 @@ TEST(EventExecutor, CorruptionMatchesLockstep) {
   const harness::RunReport lock = run(ExecutorKind::kLockstep);
   const harness::RunReport event = run(ExecutorKind::kEvent);
   EXPECT_EQ(lock.corrupted, event.corrupted);
-  EXPECT_EQ(lock.decided, event.decided);
+  EXPECT_EQ(lock.outcomes, event.outcomes);
   EXPECT_EQ(lock.meter.words_byzantine, event.meter.words_byzantine);
 }
 

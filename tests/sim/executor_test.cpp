@@ -39,7 +39,7 @@ class PingProcess final : public IProcess {
 struct Fixture {
   explicit Fixture(std::uint32_t t) : family(n_for_t(t), t) {}
 
-  Executor make(Adversary& adv, ExecutorHooks hooks = {}) {
+  std::unique_ptr<IExecutor> make(Adversary& adv, ExecutorHooks hooks = {}) {
     const std::uint32_t n = family.n();
     std::vector<KeyBundle> bundles;
     std::vector<std::unique_ptr<IProcess>> procs;
@@ -49,8 +49,8 @@ struct Fixture {
       raw.push_back(proc.get());
       procs.push_back(std::move(proc));
     }
-    return Executor(family, std::move(bundles), std::move(procs), adv,
-                    std::move(hooks));
+    return make_executor(ExecutorKind::kLockstep, family, std::move(bundles),
+                         std::move(procs), adv, std::move(hooks));
   }
 
   ThresholdFamily family;
@@ -60,8 +60,8 @@ struct Fixture {
 TEST(Executor, RunsFullSchedule) {
   Fixture fx(1);
   adv::NullAdversary adv;
-  Executor exec = fx.make(adv);
-  exec.run(5);
+  const auto exec = fx.make(adv);
+  exec->run(5);
   for (auto* p : fx.raw) {
     EXPECT_EQ(p->rounds, (std::vector<Round>{1, 2, 3, 4, 5}));
     EXPECT_EQ(p->sends.size(), 5u);
@@ -71,21 +71,21 @@ TEST(Executor, RunsFullSchedule) {
 TEST(Executor, MetersBroadcastTraffic) {
   Fixture fx(1);  // n = 3
   adv::NullAdversary adv;
-  Executor exec = fx.make(adv);
-  exec.run(2);
+  const auto exec = fx.make(adv);
+  exec->run(2);
   // 3 processes x 2 rounds x 2 link-crossing copies, 1 word each.
-  EXPECT_EQ(exec.meter().words_correct, 12u);
+  EXPECT_EQ(exec->meter().words_correct, 12u);
 }
 
 TEST(Executor, SetupCorruptionSilencesVictims) {
   Fixture fx(2);  // n = 5
   adv::CrashAdversary adv({0, 3});
-  Executor exec = fx.make(adv);
-  exec.run(3);
-  EXPECT_TRUE(exec.is_corrupted(0));
-  EXPECT_TRUE(exec.is_corrupted(3));
-  EXPECT_EQ(exec.corrupted_count(), 2u);
-  EXPECT_EQ(exec.corrupted(), (std::vector<ProcessId>{0, 3}));
+  const auto exec = fx.make(adv);
+  exec->run(3);
+  EXPECT_TRUE(exec->is_corrupted(0));
+  EXPECT_TRUE(exec->is_corrupted(3));
+  EXPECT_EQ(exec->corrupted_count(), 2u);
+  EXPECT_EQ(exec->corrupted(), (std::vector<ProcessId>{0, 3}));
   // Victims never ran.
   EXPECT_TRUE(fx.raw[0]->rounds.empty());
   EXPECT_TRUE(fx.raw[3]->rounds.empty());
@@ -101,8 +101,8 @@ TEST(Executor, SetupCorruptionSilencesVictims) {
 TEST(Executor, MidRunCorruptionStopsVictim) {
   Fixture fx(2);
   adv::CrashAdversary adv({1}, /*from_round=*/3);
-  Executor exec = fx.make(adv);
-  exec.run(5);
+  const auto exec = fx.make(adv);
+  exec->run(5);
   // Ran rounds 1-2, then was corrupted before round 3's send step.
   EXPECT_EQ(fx.raw[1]->rounds, (std::vector<Round>{1, 2}));
 }
@@ -110,9 +110,9 @@ TEST(Executor, MidRunCorruptionStopsVictim) {
 TEST(Executor, CorruptionBudgetEnforced) {
   Fixture fx(1);  // t = 1
   adv::CrashAdversary adv({0, 1, 2});  // asks for three
-  Executor exec = fx.make(adv);
-  exec.run(1);
-  EXPECT_EQ(exec.corrupted_count(), 1u);  // only t granted
+  const auto exec = fx.make(adv);
+  exec->run(1);
+  EXPECT_EQ(exec->corrupted_count(), 1u);  // only t granted
 }
 
 /// Adversary that checks its rushing view and injects one spoof attempt.
@@ -133,8 +133,8 @@ class RushingProbe final : public Adversary {
 TEST(Executor, RushingViewAndSpoofRejection) {
   Fixture fx(1);  // n = 3, process 0 corrupted
   RushingProbe adv;
-  Executor exec = fx.make(adv);
-  exec.run(1);
+  const auto exec = fx.make(adv);
+  exec->run(1);
   EXPECT_EQ(adv.saw, 6u);  // 2 correct processes x 3 broadcast copies
   // Process 1 heard: correct 1, 2 (self + other) plus exactly one Byzantine
   // ping from 0 — the spoofed send_as(2, ...) was dropped.
@@ -169,10 +169,10 @@ class OutOfRangeSender final : public Adversary {
 TEST(Executor, OutOfRangeRecipientInjectionIsDropped) {
   Fixture fx(1);  // n = 3
   OutOfRangeSender adv;
-  Executor exec = fx.make(adv);
-  exec.run(1);
+  const auto exec = fx.make(adv);
+  exec->run(1);
   // Only the single valid injection was delivered and metered.
-  EXPECT_EQ(exec.meter().messages_byzantine, 1u);
+  EXPECT_EQ(exec->meter().messages_byzantine, 1u);
   std::size_t byz = 0;
   for (ProcessId f : fx.raw[1]->received_from) byz += (f == 0);
   EXPECT_EQ(byz, 1u);
@@ -199,15 +199,15 @@ TEST(Executor, RushingViewMatchesMeteredDelivery) {
   // (plus the free self-copies), and replayed bodies must stay valid.
   Fixture fx(1);  // n = 3, process 0 corrupted => 2 correct broadcasters
   ViewEcho adv;
-  Executor exec = fx.make(adv);
-  exec.run(1);
+  const auto exec = fx.make(adv);
+  exec->run(1);
   // 2 correct processes x 3 one-word broadcast copies in the view; the
   // meter saw only the 2x2 link-crossing ones.
   EXPECT_EQ(adv.view_words, 6u);
-  EXPECT_EQ(exec.meter().words_correct, 4u);
+  EXPECT_EQ(exec->meter().words_correct, 4u);
   // All 6 replays were delivered; the 2 aimed at the corrupted process
   // itself were self-copies on 0's own link and cost nothing.
-  EXPECT_EQ(exec.meter().messages_byzantine, 4u);
+  EXPECT_EQ(exec->meter().messages_byzantine, 4u);
 }
 
 /// Adversary that tries to read an uncorrupted bundle (must abort) — covered
@@ -223,8 +223,8 @@ TEST(Executor, BundleAccessForCorrupted) {
     }
     bool got_key = false;
   } adv;
-  Executor exec = fx.make(adv);
-  exec.run(1);
+  const auto exec = fx.make(adv);
+  exec->run(1);
   EXPECT_TRUE(adv.got_key);
 }
 
@@ -243,12 +243,12 @@ TEST(Executor, MessageRecorderSeesEveryLinkCrossing) {
     ++recorded;
     max_round = std::max(max_round, m.round);
   };
-  Executor exec = fx.make(adv, std::move(hooks));
-  exec.run(2);
+  const auto exec = fx.make(adv, std::move(hooks));
+  exec->run(2);
   // 3 processes x 2 rounds x 2 link-crossing broadcast copies.
   EXPECT_EQ(recorded, 12u);
   EXPECT_EQ(max_round, 2u);
-  EXPECT_EQ(exec.meter().messages_correct, recorded);
+  EXPECT_EQ(exec->meter().messages_correct, recorded);
 }
 
 TEST(AdaptiveLeaderCrash, CorruptsUpcomingLeaders) {
@@ -256,11 +256,11 @@ TEST(AdaptiveLeaderCrash, CorruptsUpcomingLeaders) {
   // Phases of length 2 starting at round 1: leaders 0,1,2,... corrupted
   // just-in-time, budget 2.
   adv::AdaptiveLeaderCrash adv(1, 2, 5, 2);
-  Executor exec = fx.make(adv);
-  exec.run(6);
-  EXPECT_TRUE(exec.is_corrupted(0));
-  EXPECT_TRUE(exec.is_corrupted(1));
-  EXPECT_FALSE(exec.is_corrupted(2));  // budget exhausted
+  const auto exec = fx.make(adv);
+  exec->run(6);
+  EXPECT_TRUE(exec->is_corrupted(0));
+  EXPECT_TRUE(exec->is_corrupted(1));
+  EXPECT_FALSE(exec->is_corrupted(2));  // budget exhausted
   EXPECT_TRUE(fx.raw[0]->rounds.empty());
   EXPECT_EQ(fx.raw[1]->rounds, (std::vector<Round>{1, 2}));
 }

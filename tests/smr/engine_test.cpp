@@ -16,6 +16,8 @@
 namespace mewc::smr {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+
 EngineConfig base_config() {
   EngineConfig c;
   c.n = 9;
@@ -198,8 +200,8 @@ struct TranscriptResult {
   bool agreement = false;
 };
 
-TranscriptResult run_weak_ba_transcript(harness::SetupCache* cache,
-                                        ThresholdBackend backend) {
+TranscriptResult weak_ba_transcript(harness::SetupCache* cache,
+                                    ThresholdBackend backend) {
   harness::RunSpec spec = cache_spec(cache, backend);
   check::MessageLog log;
   spec.recorder = [&log](const Message& m, bool correct) {
@@ -226,11 +228,11 @@ class SetupCacheBackends
 
 TEST_P(SetupCacheBackends, CachedRunsMatchFreshRunsBitForBit) {
   const ThresholdBackend backend = GetParam();
-  const TranscriptResult fresh = run_weak_ba_transcript(nullptr, backend);
+  const TranscriptResult fresh = weak_ba_transcript(nullptr, backend);
 
   harness::SetupCache cache;
-  const TranscriptResult first = run_weak_ba_transcript(&cache, backend);
-  const TranscriptResult second = run_weak_ba_transcript(&cache, backend);
+  const TranscriptResult first = weak_ba_transcript(&cache, backend);
+  const TranscriptResult second = weak_ba_transcript(&cache, backend);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 
@@ -298,24 +300,48 @@ TEST(DriverRegistry, TraitsDescribeProtocolShape) {
   EXPECT_EQ(harness::find_driver("weak-ba")->help_round(5), 26u);
 }
 
-TEST(DriverRegistry, DriverRunMatchesLegacyAdapters) {
-  harness::RunSpec spec = harness::RunSpec::with(5, 2);
-  adv::NullAdversary a1;
+TEST(DriverRegistry, BuildAndReadHooksReproduceRun) {
+  // Hosting the driver's processes by hand — what a distributed replica
+  // does for its one local process — must reproduce ProtocolDriver::run.
+  const harness::RunSpec spec = harness::RunSpec::with(5, 2);
   harness::RunInputs inputs;
-  inputs.values = harness::find_driver("bb")->prepare(spec.n, Value(7));
+  inputs.values = kBb.prepare(spec.n, Value(7));
   inputs.sender = 4;
-  const harness::RunReport report =
-      harness::find_driver("bb")->run(spec, inputs, a1);
+  adv::NullAdversary a1;
+  const harness::RunReport report = kBb.run(spec, inputs, a1);
 
+  ThresholdFamily family(spec.n, spec.t, spec.backend, spec.seed);
+  std::vector<KeyBundle> bundles;
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    bundles.push_back(family.issue_bundle(p));
+  }
+  std::vector<std::unique_ptr<IProcess>> processes;
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    ProtocolContext ctx;
+    ctx.id = p;
+    ctx.n = spec.n;
+    ctx.t = spec.t;
+    ctx.instance = spec.instance;
+    ctx.crypto = &family;
+    ctx.keys = &bundles[p];
+    processes.push_back(kBb.make_process(ctx, inputs));
+  }
   adv::NullAdversary a2;
-  const harness::BbResult legacy = harness::run_bb(spec, 4, Value(7), a2);
+  const auto exec = make_executor(ExecutorKind::kLockstep, family,
+                                  std::move(bundles), std::move(processes),
+                                  a2);
+  exec->run(kBb.total_rounds(spec.n, spec.t));
 
-  EXPECT_EQ(report.agreement(), legacy.agreement());
-  EXPECT_EQ(report.decision().value.raw, legacy.decision().raw);
-  EXPECT_EQ(report.any_fallback, legacy.any_fallback());
-  EXPECT_EQ(report.meter.words_correct, legacy.meter.words_correct);
-  EXPECT_EQ(report.signatures_issued, legacy.signatures_issued);
+  EXPECT_EQ(report.rounds, kBb.total_rounds(spec.n, spec.t));
+  EXPECT_EQ(report.meter.words_correct, exec->meter().words_correct);
+  EXPECT_EQ(report.signatures_issued, family.pki().signatures_issued());
+  ASSERT_EQ(report.outcomes.size(), spec.n);
+  for (ProcessId p = 0; p < spec.n; ++p) {
+    ASSERT_TRUE(report.outcomes[p].has_value());
+    EXPECT_EQ(*report.outcomes[p], kBb.outcome(exec->process(p)));
+  }
   EXPECT_TRUE(report.all_decided());
+  EXPECT_EQ(report.decision().value, Value(7));
 }
 
 TEST(DriverRegistry, PrepareClampsBinaryProtocols) {

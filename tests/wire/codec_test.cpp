@@ -19,6 +19,10 @@
 namespace mewc {
 namespace {
 
+const harness::ProtocolDriver& kBb = *harness::find_driver("bb");
+const harness::ProtocolDriver& kWeakBa = *harness::find_driver("weak-ba");
+const harness::ProtocolDriver& kStrongBa = *harness::find_driver("strong-ba");
+
 class CodecTest : public ::testing::Test {
  protected:
   CodecTest() : family_(5, 2) {
@@ -31,7 +35,8 @@ class CodecTest : public ::testing::Test {
     return bundles_[p].signer().sign(DigestBuilder("c").field(1).done());
   }
   PartialSig partial(ProcessId p = 1, std::uint32_t k = 3) {
-    return bundles_[p].share(k).partial_sign(DigestBuilder("c").field(2).done());
+    return bundles_[p].share(
+        k).partial_sign(DigestBuilder("c").field(2).done());
   }
   ThresholdSig threshold() {
     std::vector<PartialSig> ps;
@@ -369,19 +374,17 @@ TEST(CodecEndToEnd, BbOverTheWire) {
   auto spec = harness::RunSpec::for_t(2);
   spec.codec_roundtrip = true;
   adv::CrashAdversary adv({1});
-  const auto res = harness::run_bb(spec, 0, Value(12), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(12)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(12));
+  EXPECT_EQ(res.decision().value, Value(12));
 }
 
 TEST(CodecEndToEnd, WeakBaOverTheWireIncludingFallback) {
   auto spec = harness::RunSpec::for_t(2);
   spec.codec_roundtrip = true;
   adv::CrashAdversary adv({0, 1});  // f = t: exercises the DS relays too
-  const auto res = harness::run_weak_ba(
-      spec, std::vector<WireValue>(spec.n, WireValue::plain(Value(6))),
-      harness::always_valid_factory(), adv);
+  const auto res = kWeakBa.run(spec, {kWeakBa.prepare(spec.n, Value(6))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
   EXPECT_EQ(res.decision().value, Value(6));
@@ -391,11 +394,11 @@ TEST(CodecEndToEnd, StrongBaOverTheWire) {
   auto spec = harness::RunSpec::for_t(2);
   spec.codec_roundtrip = true;
   adv::Alg5Withhold adv(spec.instance, adv::Alg5Mode::kHideDecide, 1);
-  const auto res = harness::run_strong_ba(
-      spec, std::vector<Value>(spec.n, Value(1)), adv);
+  const auto res =
+      kStrongBa.run(spec, {kStrongBa.prepare(spec.n, Value(1))}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(1));
+  EXPECT_EQ(res.decision().value, Value(1));
 }
 
 TEST(CodecEndToEnd, WordCostsUnchangedByRoundTrip) {
@@ -403,7 +406,8 @@ TEST(CodecEndToEnd, WordCostsUnchangedByRoundTrip) {
     auto spec = harness::RunSpec::for_t(3);
     spec.codec_roundtrip = roundtrip;
     adv::NullAdversary adv;
-    return harness::run_bb(spec, 0, Value(3), adv).meter.words_correct;
+    return kBb.run(
+        spec, {kBb.prepare(spec.n, Value(3)), 0}, adv).meter.words_correct;
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -412,10 +416,10 @@ TEST(CodecEndToEnd, FuzzedRunOverTheWire) {
   auto spec = harness::RunSpec::for_t(3);
   spec.codec_roundtrip = true;
   adv::Fuzzer adv(spec.instance, 55, 2, 4, /*spare=*/0);
-  const auto res = harness::run_bb(spec, 0, Value(9), adv);
+  const auto res = kBb.run(spec, {kBb.prepare(spec.n, Value(9)), 0}, adv);
   EXPECT_TRUE(res.all_decided());
   EXPECT_TRUE(res.agreement());
-  EXPECT_EQ(res.decision(), Value(9));
+  EXPECT_EQ(res.decision().value, Value(9));
 }
 
 }  // namespace

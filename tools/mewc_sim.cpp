@@ -281,21 +281,21 @@ int run_one(const Options& o) {
 
   std::uint32_t correct = 0;
   std::uint32_t decided = 0;
-  for (ProcessId p = 0; p < spec.n; ++p) {
-    if (res.is_corrupted(p)) continue;
+  for (const auto& outcome : res.outcomes) {
+    if (!outcome) continue;
     ++correct;
-    decided += res.decided[p] ? 1 : 0;
+    decided += outcome->decided ? 1 : 0;
   }
 
   std::printf("agreement: %s\n", res.agreement() ? "yes" : "NO");
   print_decision(res, traits.vector_output);
   std::printf("decided:   %u/%u correct\n", decided, correct);
-  std::printf("fallback:  %s\n", res.any_fallback ? "yes" : "no");
-  if (res.nonsilent_leaders != 0) {
-    std::printf("non-silent vetting leaders: %u\n", res.nonsilent_leaders);
+  std::printf("fallback:  %s\n", res.any_fallback() ? "yes" : "no");
+  if (const std::uint32_t leaders = res.nonsilent_leaders(); leaders != 0) {
+    std::printf("non-silent vetting leaders: %u\n", leaders);
   }
-  if (res.help_reqs != 0) {
-    std::printf("help requests: %u\n", res.help_reqs);
+  if (const std::uint32_t reqs = res.help_reqs(); reqs != 0) {
+    std::printf("help requests: %u\n", reqs);
   }
   std::printf("\n");
   print_meter(o, res.meter, res.rounds);
