@@ -38,9 +38,12 @@ namespace mewc {
 /// sigma = sk * H: sign a prepared message point.
 [[nodiscard]] std::uint64_t bls_sign_at(std::uint64_t sk, rc::Point h);
 
-/// Checks e(sigma, G) == e(H, pk) — two pairings. `stats` may be null.
-[[nodiscard]] bool bls_verify_at(rc::Point pk, rc::Point h, std::uint64_t tag,
-                                 CryptoVerifyStats* stats);
+/// Checks e(sigma, G) == e(H, pk) — two pairings, evaluated as e(G, sigma)
+/// and e(pk, H) from fixed-argument tables. `pk` must be the table of a key
+/// in the order-q subgroup and `h` a hash_to_point output (see
+/// rc::PairingTable); sigma is subgroup-checked here. `stats` may be null.
+[[nodiscard]] bool bls_verify_at(const rc::PairingTable& pk, rc::Point h,
+                                 std::uint64_t tag, CryptoVerifyStats* stats);
 
 /// (k, n)-threshold BLS: Shamir in the exponent, pairing verification.
 class RealThreshold final : public ThresholdScheme {
@@ -84,6 +87,8 @@ class RealThreshold final : public ThresholdScheme {
   std::vector<std::uint64_t> shares_;    // s_i = P(x_i) in Z_q (secret)
   std::vector<rc::Point> share_pks_;     // s_i * G (public)
   rc::Point group_pk_;                   // P(0) * G; P(0) itself is dropped
+  std::vector<rc::PairingTable> share_pk_tables_;
+  rc::PairingTable group_pk_table_;
   mutable VerifyMemo<std::tuple<ProcessId, std::uint64_t, std::uint64_t>>
       partial_memo_;
   mutable VerifyMemo<std::tuple<std::uint64_t, std::uint64_t>> group_memo_;

@@ -41,6 +41,7 @@ Pki::Pki(std::uint32_t n, std::uint64_t seed, ThresholdBackend backend)
   if (backend_ == ThresholdBackend::kReal) {
     bls_sks_.reserve(n);
     bls_pks_.reserve(n);
+    bls_pk_tables_.reserve(n);
     bls_pk_encs_.reserve(n);
     pop_keys_.reserve(n);
     pops_.reserve(n);
@@ -51,6 +52,7 @@ Pki::Pki(std::uint32_t n, std::uint64_t seed, ThresholdBackend backend)
       }
       bls_sks_.push_back(sk);
       bls_pks_.push_back(rc::scalar_mul(sk, rc::kG));
+      bls_pk_tables_.emplace_back(bls_pks_.back());
       bls_pk_encs_.push_back(rc::compress(bls_pks_.back()));
       // Certify the BLS key with a Schnorr proof of possession: nobody can
       // register a key function of other parties' keys (rogue-key attack)
@@ -88,7 +90,7 @@ bool Pki::verify(const Signature& sig) const {
   }
   return verify_memo_.get_or_verify(
       {sig.signer, sig.digest.bits, sig.tag}, crypto_stats_, [&] {
-        return bls_verify_at(bls_pks_[sig.signer],
+        return bls_verify_at(bls_pk_tables_[sig.signer],
                              pki_message_point(sig.digest), sig.tag,
                              &crypto_stats_);
       });
@@ -124,7 +126,8 @@ bool Pki::verify_aggregate(Digest d, std::span<const ProcessId> signers,
         if (!rc::decompress(tag, &sigma)) return false;
         if (!rc::in_subgroup(sigma)) return false;
         crypto_stats_.pairings += 2;
-        return rc::pairing(sigma, rc::kG) ==
+        // e(G, sigma) == e(sigma, G): sigma is in the subgroup.
+        return rc::generator_table().pairing(sigma) ==
                rc::pairing(pki_message_point(d), pk_sum);
       });
 }

@@ -180,6 +180,7 @@ class Pki {
   // kReal: per-process BLS key pairs and their proofs of possession.
   std::vector<std::uint64_t> bls_sks_;
   std::vector<rc::Point> bls_pks_;
+  std::vector<rc::PairingTable> bls_pk_tables_;
   std::vector<std::uint64_t> bls_pk_encs_;
   std::vector<EdKeyPair> pop_keys_;
   std::vector<EdSig> pops_;

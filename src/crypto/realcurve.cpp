@@ -11,102 +11,154 @@ namespace {
   return b ^ (mask & (a ^ b));
 }
 
-// Jacobian coordinates for the secret-scalar ladder: (X, Y, Z) with
-// x = X/Z^2, y = Y/Z^3; infinity is Z == 0. The unified add/dbl below always
-// execute the same multiplication sequence and resolve the special cases
-// (either operand at infinity, equal or opposite inputs) with branchless
-// selects, so the ladder's op trace is independent of the scalar.
+/// 0 -> ~0, nonzero -> 0, without a branch.
+[[nodiscard]] constexpr std::uint64_t is_zero_mask(std::uint64_t v) {
+  return ((v | (0 - v)) >> 63) - 1;
+}
+
+void ct_swap(std::uint64_t mask, std::uint64_t& a, std::uint64_t& b) {
+  const std::uint64_t d = mask & (a ^ b);
+  a ^= d;
+  b ^= d;
+}
+
+/// Signed binary digits of a fixed scalar below 2^63, most significant
+/// first, no two adjacent digits nonzero: about a third of them are,
+/// against half in plain binary. Such a scalar has at most 64 digits.
+struct Naf {
+  signed char digit[64] = {};
+  int len = 0;
+};
+
+[[nodiscard]] constexpr Naf naf_of(std::uint64_t k) {
+  MEWC_CHECK_MSG(k >> 63 == 0, "rounding up would carry past bit 63");
+  signed char rev[64] = {};
+  int n = 0;
+  std::uint64_t v = k;
+  while (v != 0) {
+    signed char d = 0;
+    if ((v & 1) != 0) {
+      d = (v & 3) == 1 ? 1 : -1;
+      v = d == 1 ? v - 1 : v + 1;
+    }
+    rev[n++] = d;
+    v >>= 1;
+  }
+  Naf out;
+  out.len = n;
+  for (int i = 0; i < n; ++i) out.digit[i] = rev[n - 1 - i];
+  return out;
+}
+
+/// q = 2^59 - 2757 has NAF weight 7 against 54 set bits in binary, so the
+/// Miller loop and the subgroup check run almost addition-free.
+constexpr Naf kQNaf = naf_of(kQ);
+/// The cofactor 4: two doublings.
+constexpr Naf kCofactorNaf = naf_of(4);
+
+/// Jacobian coordinates (X, Y, Z): x = X/Z^2, y = Y/Z^3; Z == 0 is infinity.
 struct Jac {
   std::uint64_t x = 1;
   std::uint64_t y = 1;
   std::uint64_t z = 0;
 };
 
-[[nodiscard]] constexpr std::uint64_t is_zero_mask(std::uint64_t v) {
-  // 0 -> ~0, nonzero -> 0.
-  return v == 0 ? ~0ULL : 0ULL;
+/// Variable-time left-to-right walk computing T = k*P, where `naf` is the
+/// NAF of k. It also reports the Miller loop of f_{k,P}: `square()` once per
+/// digit after the leading one, and `line(a, b, c)` for every tangent and
+/// chord, as the value (a*xQ + b) + i*(c*yQ) the line takes at the distorted
+/// point phi(Q) = (-xQ, i*yQ), up to a nonzero GF(p) factor. Vertical lines
+/// take GF(p) values at phi(Q) and are not reported (see pairing). Callers
+/// that only want T pass empty callbacks; the line arithmetic then
+/// compiles away.
+template <typename Square, typename LineFn>
+[[nodiscard]] Jac naf_walk(const Naf& naf, Point p, Square&& square,
+                           LineFn&& line) {
+  if (p.inf || naf.len == 0) return Jac{};
+  Jac t{p.x, p.y, 1};  // the leading NAF digit is always +1
+
+  const auto dbl = [&] {
+    // Tangent at T scaled by 2*Y*Z^3:
+    //   (3X^2 + Z^4)(xQ*Z^2 + X) - 2Y^2  +  2*Y*Z^3*yQ * i
+    const std::uint64_t z2 = mul(t.z, t.z);
+    const std::uint64_t z4 = mul(z2, z2);
+    const std::uint64_t xx = mul(t.x, t.x);
+    const std::uint64_t m = add(add(add(xx, xx), xx), z4);
+    const std::uint64_t y2 = mul(t.y, t.y);
+    const std::uint64_t yz3 = mul(t.y, mul(t.z, z2));
+    line(mul(m, z2), sub(mul(m, t.x), add(y2, y2)), add(yz3, yz3));
+    // dbl-2007-bl for y^2 = x^3 + x.
+    const std::uint64_t yyyy = mul(y2, y2);
+    const std::uint64_t xyy = add(t.x, y2);
+    std::uint64_t s = sub(sub(mul(xyy, xyy), xx), yyyy);
+    s = add(s, s);
+    const std::uint64_t x3 = sub(mul(m, m), add(s, s));
+    std::uint64_t y8 = add(yyyy, yyyy);
+    y8 = add(y8, y8);
+    y8 = add(y8, y8);
+    const std::uint64_t y3 = sub(mul(m, sub(s, x3)), y8);
+    const std::uint64_t yz = add(t.y, t.z);
+    t = Jac{x3, y3, sub(sub(mul(yz, yz), y2), z2)};
+  };
+
+  for (int i = 1; i < naf.len; ++i) {
+    square();
+    if (t.z != 0) {
+      if (t.y == 0) {
+        t.z = 0;  // vertical tangent: 2T is infinity
+      } else {
+        dbl();
+      }
+    }
+    const signed char d = naf.digit[i];
+    if (d == 0) continue;
+    const std::uint64_t px = p.x;
+    const std::uint64_t py = d == 1 ? p.y : neg(p.y);
+    if (t.z == 0) {
+      t = Jac{px, py, 1};
+      continue;
+    }
+    const std::uint64_t z2 = mul(t.z, t.z);
+    const std::uint64_t u = sub(mul(px, z2), t.x);            // H
+    const std::uint64_t s = sub(mul(py, mul(t.z, z2)), t.y);  // r
+    if (u == 0 && s == 0) {
+      dbl();  // T == dP: the chord degenerates to the tangent
+    } else if (u == 0) {
+      t.z = 0;  // T == -dP: vertical chord, T + dP is infinity
+    } else {
+      // Chord through T and (px, py) scaled by u*Z:
+      //   s*(xQ + px) - py*u*Z  +  u*Z*yQ * i
+      const std::uint64_t uz = mul(u, t.z);
+      line(s, sub(mul(s, px), mul(py, uz)), uz);
+      // Mixed addition.
+      const std::uint64_t h2 = mul(u, u);
+      const std::uint64_t h3 = mul(u, h2);
+      const std::uint64_t v = mul(t.x, h2);
+      const std::uint64_t x3 = sub(sub(mul(s, s), h3), add(v, v));
+      const std::uint64_t y3 = sub(mul(s, sub(v, x3)), mul(t.y, h3));
+      t = Jac{x3, y3, uz};
+    }
+  }
+  return t;
 }
 
-void ct_swap(std::uint64_t mask, Jac& a, Jac& b) {
-  const std::uint64_t dx = mask & (a.x ^ b.x);
-  const std::uint64_t dy = mask & (a.y ^ b.y);
-  const std::uint64_t dz = mask & (a.z ^ b.z);
-  a.x ^= dx;
-  b.x ^= dx;
-  a.y ^= dy;
-  b.y ^= dy;
-  a.z ^= dz;
-  b.z ^= dz;
+[[nodiscard]] Jac naf_mul(const Naf& naf, Point p) {
+  return naf_walk(naf, p, [] {},
+                  [](std::uint64_t, std::uint64_t, std::uint64_t) {});
 }
 
-[[nodiscard]] Jac jac_dbl(const Jac& p) {
-  // dbl-2007-bl for y^2 = x^3 + a*x with a = 1. A 2-torsion input (Y = 0)
-  // or infinity (Z = 0) both land on Z3 = 0, which is infinity again.
-  const std::uint64_t xx = mul(p.x, p.x);
-  const std::uint64_t yy = mul(p.y, p.y);
-  const std::uint64_t yyyy = mul(yy, yy);
-  const std::uint64_t zz = mul(p.z, p.z);
-  const std::uint64_t xyy = add(p.x, yy);
-  std::uint64_t s = sub(sub(mul(xyy, xyy), xx), yyyy);
-  s = add(s, s);
-  const std::uint64_t m = add(add(add(xx, xx), xx), mul(zz, zz));
-  const std::uint64_t x3 = sub(mul(m, m), add(s, s));
-  std::uint64_t y8 = add(yyyy, yyyy);
-  y8 = add(y8, y8);
-  y8 = add(y8, y8);
-  const std::uint64_t y3 = sub(mul(m, sub(s, x3)), y8);
-  const std::uint64_t yz = add(p.y, p.z);
-  const std::uint64_t z3 = sub(sub(mul(yz, yz), yy), zz);
-  return Jac{x3, y3, z3};
-}
-
-[[nodiscard]] Jac jac_add(const Jac& p, const Jac& q) {
-  // add-2007-bl, with branchless fixups for Z1 = 0 / Z2 = 0 / P == Q /
-  // P == -Q so the ladder never takes a data-dependent branch.
-  const std::uint64_t z1z1 = mul(p.z, p.z);
-  const std::uint64_t z2z2 = mul(q.z, q.z);
-  const std::uint64_t u1 = mul(p.x, z2z2);
-  const std::uint64_t u2 = mul(q.x, z1z1);
-  const std::uint64_t s1 = mul(mul(p.y, q.z), z2z2);
-  const std::uint64_t s2 = mul(mul(q.y, p.z), z1z1);
-  const std::uint64_t h = sub(u2, u1);
-  const std::uint64_t r0 = sub(s2, s1);
-  const std::uint64_t r = add(r0, r0);
-  const std::uint64_t i4 = [&] {
-    const std::uint64_t h2 = add(h, h);
-    return mul(h2, h2);
-  }();
-  const std::uint64_t j = mul(h, i4);
-  const std::uint64_t v = mul(u1, i4);
-  std::uint64_t x3 = sub(sub(mul(r, r), j), add(v, v));
-  const std::uint64_t s1j = mul(s1, j);
-  std::uint64_t y3 = sub(mul(r, sub(v, x3)), add(s1j, s1j));
-  const std::uint64_t zs = add(p.z, q.z);
-  std::uint64_t z3 = mul(sub(sub(mul(zs, zs), z1z1), z2z2), h);
-
-  // P == Q (h == 0, r == 0): substitute the doubling.
-  const Jac dbl = jac_dbl(p);
-  const std::uint64_t same = is_zero_mask(h) & is_zero_mask(r0) &
-                             ~is_zero_mask(p.z) & ~is_zero_mask(q.z);
-  x3 = ct_select(same, dbl.x, x3);
-  y3 = ct_select(same, dbl.y, y3);
-  z3 = ct_select(same, dbl.z, z3);
-  // P == -Q (h == 0, r != 0) already yields z3 == 0 == infinity; fine.
-
-  // Either operand at infinity: return the other.
-  const std::uint64_t p_inf = is_zero_mask(p.z);
-  const std::uint64_t q_inf = is_zero_mask(q.z);
-  x3 = ct_select(q_inf, p.x, ct_select(p_inf, q.x, x3));
-  y3 = ct_select(q_inf, p.y, ct_select(p_inf, q.y, y3));
-  z3 = ct_select(q_inf, p.z, ct_select(p_inf, q.z, z3));
-  return Jac{x3, y3, z3};
-}
-
-[[nodiscard]] Point jac_to_affine(const Jac& p) {
+[[nodiscard]] Point to_affine(const Jac& p) {
   if (p.z == 0) return Point{};
   const std::uint64_t zi = inv(p.z);
   const std::uint64_t zi2 = mul(zi, zi);
   return Point{mul(p.x, zi2), mul(p.y, mul(zi2, zi)), false};
+}
+
+/// Final exponentiation by (p^2 - 1)/q = 4(p - 1): f^(p-1) is
+/// conj(f) * f^-1 (Frobenius is conjugation), then square twice.
+[[nodiscard]] Fp2 final_exp(Fp2 f) {
+  const Fp2 g = fp2_mul(fp2_conj(f), fp2_inv(f));
+  return fp2_sq(fp2_sq(g));
 }
 
 }  // namespace
@@ -145,24 +197,70 @@ Point point_add(Point p, Point q) {
 
 Point scalar_mul(std::uint64_t k, Point p) {
   if (p.inf) return p;
-  Jac r0;  // infinity
-  Jac r1{p.x, p.y, 1};
-  // Montgomery ladder over all 64 bit positions: per bit one add, one
-  // double, two conditional swaps — the trace never depends on k.
-  for (int i = 63; i >= 0; --i) {
-    const std::uint64_t mask = 0 - ((k >> i) & 1);
-    ct_swap(mask, r0, r1);
-    r1 = jac_add(r0, r1);
-    r0 = jac_dbl(r0);
-    ct_swap(mask, r0, r1);
+  if (p.x == 0) {
+    // (0, 0), the one point of order 2: kP is P for odd k, else infinity.
+    // The x-only ladder cannot use it as its difference point.
+    return Point{0, 0, (k & 1) == 0};
   }
-  return jac_to_affine(r0);
+  // Montgomery ladder on x only: R0 = (x0 : z0), R1 = (x1 : z1), with
+  // R1 - R0 = +-P throughout. Each step maps (R0, R1) to (2R0, R0 + R1)
+  // after a masked swap, so the operation trace never depends on k.
+  const std::uint64_t xp = p.x;
+  std::uint64_t x0 = 1;
+  std::uint64_t z0 = 0;  // infinity
+  std::uint64_t x1 = xp;
+  std::uint64_t z1 = 1;
+  std::uint64_t swapped = 0;
+  for (int i = 63; i >= 0; --i) {
+    const std::uint64_t bit = (k >> i) & 1;
+    const std::uint64_t mask = 0 - (swapped ^ bit);
+    ct_swap(mask, x0, x1);
+    ct_swap(mask, z0, z1);
+    swapped = bit;
+    const std::uint64_t a = add(x0, z0);
+    const std::uint64_t b = sub(x0, z0);
+    const std::uint64_t da = mul(sub(x1, z1), a);
+    const std::uint64_t cb = mul(add(x1, z1), b);
+    const std::uint64_t sum = add(da, cb);
+    const std::uint64_t diff = sub(da, cb);
+    x1 = mul(sum, sum);
+    z1 = mul(xp, mul(diff, diff));
+    // Doubling with (A + 2)/4 = 1/2, scaled by 2:
+    //   x(2R) = 2*AA*BB / ((AA - BB)(AA + BB)).
+    const std::uint64_t aa = mul(a, a);
+    const std::uint64_t bb = mul(b, b);
+    const std::uint64_t aabb = mul(aa, bb);
+    x0 = add(aabb, aabb);
+    z0 = mul(sub(aa, bb), add(aa, bb));
+  }
+  ct_swap(0 - swapped, x0, x1);
+  ct_swap(0 - swapped, z0, z1);
+  // Now (x0 : z0) = x(kP) and (x1 : z1) = x((k+1)P). Okeya-Sakurai y-recovery
+  // with A = 0, B = 1: kP = (X/Z, Y/Z) with
+  //   X = w*x0,  Z = w*z0,  w = 2*yP*z0*z1,
+  //   Y = (xP*x0 + z0)(x0 + xP*z0)*z1 - (x0 - xP*z0)^2 * x1.
+  const std::uint64_t xz = mul(xp, z0);
+  const std::uint64_t dx = sub(x0, xz);
+  const std::uint64_t y = sub(mul(mul(add(mul(xp, x0), z0), add(x0, xz)), z1),
+                              mul(mul(dx, dx), x1));
+  const std::uint64_t w = mul(add(p.y, p.y), mul(z0, z1));
+  // z0 == 0: kP is infinity. z1 == 0: (k+1)P is infinity, so kP = -P. Both
+  // zero Z below; substitute 1 so the one inversion always has an input.
+  const std::uint64_t at_inf = is_zero_mask(z0);
+  const std::uint64_t at_neg = is_zero_mask(z1) & ~at_inf;
+  const std::uint64_t zi = inv(ct_select(at_inf | at_neg, 1, mul(w, z0)));
+  const std::uint64_t wzi = mul(w, zi);
+  Point out;
+  out.x = ct_select(at_inf, 0, ct_select(at_neg, xp, mul(x0, wzi)));
+  out.y = ct_select(at_inf, 0, ct_select(at_neg, neg(p.y), mul(y, zi)));
+  out.inf = at_inf != 0;
+  return out;
 }
 
 bool in_subgroup(Point p) {
   if (p.inf) return true;
   if (!on_curve(p)) return false;
-  return scalar_mul(kQ, p).inf;
+  return naf_mul(kQNaf, p).z == 0;
 }
 
 std::uint64_t compress(Point p) {
@@ -197,45 +295,14 @@ Point hash_to_point(std::uint64_t h) {
     const std::uint64_t rhs = add(mul(mul(x, x), x), x);
     const std::uint64_t y = sqrt(rhs);
     if (mul(y, y) == rhs) {
-      // Clear the cofactor so the result lands in the order-q subgroup.
-      const Point p4 = point_dbl(point_dbl(Point{x, y, false}));
+      // Clear the cofactor so the result lands in the order-q subgroup:
+      // two Jacobian doublings and one inversion.
+      const Point p4 = to_affine(naf_mul(kCofactorNaf, Point{x, y, false}));
       if (!p4.inf) return p4;
     }
     x = add(x, 1);
   }
 }
-
-namespace {
-
-/// Non-adjacent form of kQ, MSB first: q = 2^59 - 2757, so the signed-digit
-/// representation has Hamming weight 7 versus ~52 for plain binary — the
-/// Miller loop runs almost addition-free.
-struct QNaf {
-  signed char digit[64] = {};
-  int len = 0;
-};
-
-[[nodiscard]] QNaf q_naf() {
-  QNaf out;
-  signed char rev[64];
-  int n = 0;
-  std::uint64_t k = kQ;
-  while (k != 0) {
-    if (k & 1) {
-      const signed char d = static_cast<signed char>(2 - (k & 3));
-      rev[n++] = d;
-      k -= static_cast<std::uint64_t>(d);  // d == -1 adds 1
-    } else {
-      rev[n++] = 0;
-    }
-    k >>= 1;
-  }
-  out.len = n;
-  for (int i = 0; i < n; ++i) out.digit[i] = rev[n - 1 - i];
-  return out;
-}
-
-}  // namespace
 
 Fp2 pairing(Point p, Point q) {
   if (p.inf || q.inf) return fp2_one();
@@ -251,96 +318,40 @@ Fp2 pairing(Point p, Point q) {
   //  3. The loop walks the NAF of q (weight 7), not its binary expansion.
   // A chord/tangent line's imaginary part is yQ (times a nonzero scale),
   // nonzero for affine Q, so line values are never zero mid-loop.
-  static const QNaf kNaf = q_naf();
-  const std::uint64_t xq = q.x;
-  const std::uint64_t yq = q.y;
   Fp2 f = fp2_one();
-  // T = (X, Y, Z) Jacobian, x = X/Z^2, y = Y/Z^3; Z == 0 is infinity.
-  std::uint64_t tx = p.x;
-  std::uint64_t ty = p.y;
-  std::uint64_t tz = 1;
+  (void)naf_walk(
+      kQNaf, p, [&] { f = fp2_sq(f); },
+      [&](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+        f = fp2_mul(f, Fp2{add(mul(a, q.x), b), mul(c, q.y)});
+      });
+  return final_exp(f);
+}
 
-  const auto dbl_step = [&] {
-    // Tangent at T scaled by 2*Y*Z^3:
-    //   (3X^2 + Z^4)(xQ*Z^2 + X) - 2Y^2  +  2*Y*Z^3*yQ * i
-    const std::uint64_t z2 = mul(tz, tz);
-    const std::uint64_t z3 = mul(tz, z2);
-    const std::uint64_t z4 = mul(z2, z2);
-    const std::uint64_t m = add(mul(3, mul(tx, tx)), z4);
-    const std::uint64_t y2 = mul(ty, ty);
-    const std::uint64_t yz3 = mul(ty, z3);
-    const Fp2 line{sub(mul(m, add(mul(xq, z2), tx)), add(y2, y2)),
-                   mul(add(yz3, yz3), yq)};
-    f = fp2_mul(f, line);
-    // dbl-2007-bl, as in jac_dbl.
-    const std::uint64_t xx = mul(tx, tx);
-    const std::uint64_t yyyy = mul(y2, y2);
-    const std::uint64_t xyy = add(tx, y2);
-    std::uint64_t s = sub(sub(mul(xyy, xyy), xx), yyyy);
-    s = add(s, s);
-    const std::uint64_t mm = add(add(add(xx, xx), xx), mul(z2, z2));
-    const std::uint64_t x3 = sub(mul(mm, mm), add(s, s));
-    std::uint64_t y8 = add(yyyy, yyyy);
-    y8 = add(y8, y8);
-    y8 = add(y8, y8);
-    const std::uint64_t y3 = sub(mul(mm, sub(s, x3)), y8);
-    const std::uint64_t yz = add(ty, tz);
-    const std::uint64_t z3n = sub(sub(mul(yz, yz), y2), z2);
-    tx = x3;
-    ty = y3;
-    tz = z3n;
-  };
+PairingTable::PairingTable(Point p) {
+  (void)naf_walk(
+      kQNaf, p, [&] { lines_per_step_.push_back(0); },
+      [&](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+        ++lines_per_step_.back();
+        lines_.push_back(Line{a, b, c});
+      });
+}
 
-  for (int i = 1; i < kNaf.len; ++i) {
+Fp2 PairingTable::pairing(Point q) const {
+  if (q.inf) return fp2_one();
+  Fp2 f = fp2_one();
+  const Line* line = lines_.data();
+  for (std::uint8_t n : lines_per_step_) {
     f = fp2_sq(f);
-    if (tz != 0) {
-      if (ty == 0) {
-        tz = 0;  // vertical tangent: GF(p)-valued line, eliminated
-      } else {
-        dbl_step();
-      }
-    }
-    const signed char d = kNaf.digit[i];
-    if (d != 0) {
-      const std::uint64_t px = p.x;
-      const std::uint64_t py = d == 1 ? p.y : neg(p.y);
-      if (tz == 0) {
-        tx = px;
-        ty = py;
-        tz = 1;
-        continue;
-      }
-      const std::uint64_t z2 = mul(tz, tz);
-      const std::uint64_t z3 = mul(tz, z2);
-      const std::uint64_t u = sub(mul(px, z2), tx);  // H (mixed add)
-      const std::uint64_t s = sub(mul(py, z3), ty);  // r
-      if (u == 0 && s == 0) {
-        // T == +-P: the chord degenerates to the tangent; T + P == 2T.
-        dbl_step();
-      } else if (u == 0) {
-        tz = 0;  // T == -(+-P): vertical chord, eliminated
-      } else {
-        // Chord through T and (px, py) scaled by u*Z:
-        //   s*(xQ + px) - py*u*Z  +  u*Z*yQ * i
-        const std::uint64_t uz = mul(u, tz);
-        f = fp2_mul(f, Fp2{sub(mul(s, add(xq, px)), mul(py, uz)),
-                           mul(uz, yq)});
-        // madd-2007-bl mixed addition.
-        const std::uint64_t h2 = mul(u, u);
-        const std::uint64_t h3 = mul(u, h2);
-        const std::uint64_t v = mul(tx, h2);
-        const std::uint64_t x3 = sub(sub(mul(s, s), h3), add(v, v));
-        const std::uint64_t y3 = sub(mul(s, sub(v, x3)), mul(ty, h3));
-        tx = x3;
-        ty = y3;
-        tz = mul(tz, u);
-      }
+    for (; n != 0; --n, ++line) {
+      f = fp2_mul(f, Fp2{add(mul(line->a, q.x), line->b), mul(line->c, q.y)});
     }
   }
-  // Final exponentiation by (p^2 - 1)/q = 4(p - 1): f^(p-1) is
-  // conj(f) * f^-1 (Frobenius is conjugation), then square twice.
-  const Fp2 g = fp2_mul(fp2_conj(f), fp2_inv(f));
-  return fp2_sq(fp2_sq(g));
+  return final_exp(f);
+}
+
+const PairingTable& generator_table() {
+  static const PairingTable table(kG);
+  return table;
 }
 
 }  // namespace mewc::rc

@@ -31,7 +31,7 @@ Digest digest_of(std::uint64_t bits) { return Digest{bits}; }
 
 TEST(BlsPrimitives, SignVerifyAndDomainSeparation) {
   const std::uint64_t sk = 0x5ecce7;
-  const rc::Point pk = rc::scalar_mul(sk, rc::kG);
+  const rc::PairingTable pk(rc::scalar_mul(sk, rc::kG));
   const rc::Point h = bls_message_point("mewc.test", 0x1234);
   const std::uint64_t tag = bls_sign_at(sk, h);
   CryptoVerifyStats stats;
@@ -49,7 +49,7 @@ TEST(BlsPrimitives, SignVerifyAndDomainSeparation) {
 
 TEST(BlsPrimitives, EveryBitFlipOfTheTagIsRejected) {
   const std::uint64_t sk = 0xabcdef;
-  const rc::Point pk = rc::scalar_mul(sk, rc::kG);
+  const rc::PairingTable pk(rc::scalar_mul(sk, rc::kG));
   const rc::Point h = bls_message_point("mewc.test", 99);
   const std::uint64_t tag = bls_sign_at(sk, h);
   for (int bit = 0; bit < 64; ++bit) {
