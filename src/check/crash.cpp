@@ -31,7 +31,7 @@ std::string hex64(std::uint64_t v) {
 /// Per-slot adversary for both runs. Pure in (slot, sender), so the
 /// continuation run rebuilds exactly the adversary the crashed run used.
 /// Checkpoint instances arrive with sender == kNoProcess and use the odd
-/// nonce lane, mirroring Ledger::prepare_spec/run_checkpoint.
+/// nonce lane, mirroring Ledger::prepare_spec/checkpoint_spec.
 smr::Ledger::AdversaryFactory slot_adversary(const CrashCellSpec& cell) {
   if (cell.adversary == "none" || cell.f == 0) return nullptr;
   return [cell](std::uint64_t slot, ProcessId sender) {

@@ -31,19 +31,7 @@ smr::Ledger::Config ledger_config(const ReplicaConfig& config) {
 Replica::Replica(const ReplicaConfig& config)
     : config_(config),
       family_(config.n, config.t, config.backend, config.seed),
-      ledger_([&] {
-        smr::Ledger::Config c = ledger_config(config);
-        // Checkpoints run across the cluster, through the same event path
-        // as the slots; the spec the ledger hands over is the one the
-        // simulation would use (odd instance-nonce lane).
-        c.checkpoint_runner = [this](const harness::RunSpec& spec,
-                                     const harness::RunInputs& inputs) {
-          ++stats_.checkpoint_runs;
-          return run_distributed(*harness::find_driver("strong-ba"), spec,
-                                 inputs);
-        };
-        return c;
-      }()) {
+      ledger_(ledger_config(config)) {
   MEWC_CHECK_MSG(config_.transport != nullptr && config_.sync != nullptr,
                  "a replica needs a transport and a round-closure policy");
   MEWC_CHECK_MSG(config_.id < config_.n, "replica id out of range");
@@ -52,7 +40,7 @@ Replica::Replica(const ReplicaConfig& config)
 void Replica::install(smr::RestoredState state, smr::KvState kv) {
   ledger_.install(std::move(state));
   kv_ = std::move(kv);
-  ledger_.complete_pending_checkpoint();
+  seal_due_checkpoint();
 }
 
 const smr::SlotRecord& Replica::run_slot(Value proposal) {
@@ -66,11 +54,11 @@ const smr::SlotRecord& Replica::run_slot(Value proposal) {
 
   const harness::RunReport report =
       run_distributed(*harness::find_driver("bb"), spec, inputs);
-  // commit() runs the checkpoint cadence inline, which re-enters
-  // run_distributed through the checkpoint_runner hook on the odd
-  // instance lane — strictly after this slot's instance, strictly before
-  // the next one, so instance nonces stay monotonic on the wire.
   const smr::SlotRecord& rec = ledger_.commit(slot, report);
+  // The checkpoint this slot makes due runs on the odd instance lane —
+  // strictly after this slot's instance, strictly before the next one, so
+  // instance nonces stay monotonic on the wire.
+  seal_due_checkpoint();
 
   ++stats_.slots_run;
   stats_.skipped += rec.skipped ? 1 : 0;
@@ -80,6 +68,14 @@ const smr::SlotRecord& Replica::run_slot(Value proposal) {
     kv_.apply(smr::Command::unpack(rec.value));
   }
   return rec;
+}
+
+void Replica::seal_due_checkpoint() {
+  if (!ledger_.checkpoint_due()) return;
+  ++stats_.checkpoint_runs;
+  ledger_.record_checkpoint(run_distributed(*harness::find_driver("strong-ba"),
+                                            ledger_.checkpoint_spec(),
+                                            ledger_.checkpoint_inputs()));
 }
 
 harness::RunReport Replica::run_distributed(

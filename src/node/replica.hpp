@@ -14,10 +14,12 @@
 //    once per replica and reused across instances the same way a
 //    harness::SetupCache reuses it, so per-instance signature streams
 //    match the simulation bit for bit.
-//  * The checkpoint lane is routed back through the ledger's
-//    checkpoint_runner hook, so a cadence-triggered strong BA runs across
-//    the cluster (odd instance-nonce lane) exactly where the simulated
-//    ledger would have run it in-process.
+//  * The checkpoint lane runs the ledger's checkpoint spec (odd
+//    instance-nonce lane) across the cluster right after the slot that
+//    makes it due, and hands the report to Ledger::record_checkpoint —
+//    exactly where the simulated ledger would have sealed it in-process.
+//    Durability callbacks therefore fire serially, in slot order, on the
+//    replica's thread.
 //
 // A replica only observes its own protocol endpoint, so the RunReport it
 // synthesizes replicates the local decision across all process slots:
@@ -101,6 +103,9 @@ class Replica {
   }
 
  private:
+  /// Seals the ledger's due checkpoint (if any) across the cluster.
+  void seal_due_checkpoint();
+
   /// Runs one protocol instance (a slot's BB or a checkpoint's strong BA)
   /// across the cluster, hosting only this node's process, and synthesizes
   /// the local-view RunReport the ledger commits.

@@ -112,25 +112,45 @@ void Engine::admit(Value proposal, std::uint64_t ops,
 }
 
 void Engine::complete(std::uint64_t slot, Prepared done) {
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  std::unique_lock<std::mutex> lock(commit_mu_);
   reorder_.emplace(slot, std::move(done));
   stats_.max_reorder_depth =
       std::max<std::uint64_t>(stats_.max_reorder_depth, reorder_.size());
+  // While a checkpoint seals the frontier is frozen: park the report and
+  // go back for new work; the sealing worker drains it afterwards.
+  if (sealing_) return;
   // Advance the commit frontier: everything contiguous from next_commit_ is
   // committed now, in slot order, by whichever worker happened to fill the
-  // gap. Checkpoint instances triggered by the cadence run serially here.
-  for (auto it = reorder_.find(next_commit_); it != reorder_.end();
-       it = reorder_.find(next_commit_)) {
-    const Prepared& p = it->second;
-    const SlotRecord& rec = ledger_.commit(it->first, p.report, p.adversary);
-    meter_.merge(p.report.meter);
-    ++stats_.committed;
-    stats_.skipped += rec.skipped ? 1 : 0;
-    stats_.fallbacks += rec.fallback ? 1 : 0;
-    reorder_.erase(it);
-    ++next_commit_;
+  // gap. A commit that makes a checkpoint due stops the drain; this worker
+  // then seals it with the lock released and resumes draining.
+  for (;;) {
+    Ledger::AdversaryFactory checkpoint_adversary;
+    for (auto it = reorder_.find(next_commit_);
+         it != reorder_.end() && !ledger_.checkpoint_due();
+         it = reorder_.find(next_commit_)) {
+      Prepared& p = it->second;
+      const SlotRecord& rec = ledger_.commit(it->first, p.report);
+      meter_.merge(p.report.meter);
+      ++stats_.committed;
+      stats_.skipped += rec.skipped ? 1 : 0;
+      stats_.fallbacks += rec.fallback ? 1 : 0;
+      checkpoint_adversary = std::move(p.adversary);
+      reorder_.erase(it);
+      ++next_commit_;
+    }
+    window_open_.notify_all();
+    if (!ledger_.checkpoint_due()) return;
+
+    // The ledger's checkpoint state and cache are this worker's alone
+    // until it re-locks: no slot commits while the checkpoint is due, and
+    // sealing_ keeps every other worker out of this loop. Admission only
+    // attaches payloads, which the seal does not touch.
+    sealing_ = true;
+    lock.unlock();
+    ledger_.complete_pending_checkpoint(checkpoint_adversary);
+    lock.lock();
+    sealing_ = false;
   }
-  window_open_.notify_all();
 }
 
 void Engine::finish() {

@@ -11,15 +11,24 @@
 //  - Each worker owns a private harness::SetupCache, so threshold key
 //    generation is amortized across that worker's instances without ever
 //    sharing the (non-thread-safe) Pki signature counters across threads.
-//    Checkpoint BAs run on the ledger's own cache, which only the
-//    commit-lock holder touches.
+//    Checkpoint BAs run on the ledger's own cache, which only the sealing
+//    worker touches, one checkpoint at a time.
 //  - Completed instance reports land in a reorder buffer keyed by slot; the
 //    completing worker also advances the commit frontier while holding the
-//    commit lock, so commits (including checkpoint BAs) are serial and in
-//    order. submit() blocks while queue capacity + workers slots are
-//    outstanding (admitted but uncommitted), so the pipeline — and with it
-//    the reorder buffer — can never run further ahead of the commit
-//    frontier than that window.
+//    commit lock, so commits are serial and in order. submit() blocks while
+//    queue capacity + workers slots are outstanding (admitted but
+//    uncommitted), so the pipeline — and with it the reorder buffer — can
+//    never run further ahead of the commit frontier than that window.
+//  - A commit that makes a checkpoint due freezes the frontier: the worker
+//    that made it seals the checkpoint inline with the commit lock
+//    released, then re-locks and resumes draining (which may trigger the
+//    next checkpoint). Meanwhile other workers park finished reports and
+//    take new slots, and submit() keeps admitting up to the window. The
+//    seal runs on the worker, not as a scheduler job: a worker blocked on
+//    a full queue could otherwise deadlock against it.
+//  - Durability callbacks fire serially, in slot order; the frontier is
+//    frozen while a checkpoint seals, and every callback is ordered after
+//    the previous one through the commit lock.
 //  - The run-level Meter is the slot-ordered merge of per-instance meters
 //    (checkpoint instances are accounted in the ledger's word totals).
 #pragma once
@@ -56,8 +65,9 @@ struct EngineConfig {
   /// Which executor drives each consensus instance, forwarded to the
   /// ledger's RunSpecs (DESIGN.md §14; behaviour-identical either way).
   ExecutorKind executor = ExecutorKind::kLockstep;
-  /// Optional durability sink, forwarded to the ledger. Callbacks run under
-  /// the commit lock, in slot order (not owned; must outlive the engine).
+  /// Optional durability sink, forwarded to the ledger. Callbacks run
+  /// serially, in slot order; the frontier is frozen while a checkpoint
+  /// seals (not owned; must outlive the engine).
   DurabilityHook* durability = nullptr;
 };
 
@@ -170,12 +180,17 @@ class Engine {
   /// One trusted-setup cache per worker; workers only ever touch their own.
   std::vector<std::unique_ptr<harness::SetupCache>> caches_;
 
-  /// Guards the reorder buffer, the ledger, the merged meter, and stats.
+  /// Guards the reorder buffer, the ledger, the merged meter, and stats —
+  /// except the ledger's checkpoint state while sealing_ is set, which
+  /// belongs to the sealing worker.
   mutable std::mutex commit_mu_;
   /// Signalled when the commit frontier advances; submit() waits on it
   /// while the pipeline window (queue capacity + workers) is full.
   std::condition_variable window_open_;
   std::map<std::uint64_t, Prepared> reorder_;
+  /// A worker is sealing a checkpoint off the lock; the frontier is frozen
+  /// and completing workers only park their reports.
+  bool sealing_ = false;
   std::uint64_t next_commit_ = 0;
   std::uint64_t next_slot_ = 0;
   std::uint64_t window_waits_ = 0;

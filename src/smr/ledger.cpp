@@ -53,13 +53,15 @@ const SlotRecord& Ledger::append(Value v, const AdversaryFactory& adversary) {
   harness::RunInputs inputs;
   inputs.values = std::vector<WireValue>(config_.n, WireValue::plain(v));
   inputs.sender = proposer;
-  return commit(slot, bb->run(spec, inputs, adv_ref), adversary);
+  const SlotRecord& rec = commit(slot, bb->run(spec, inputs, adv_ref));
+  complete_pending_checkpoint(adversary);
+  return rec;
 }
 
 const SlotRecord& Ledger::commit(std::uint64_t slot,
-                                 const harness::RunReport& report,
-                                 const AdversaryFactory& adversary) {
+                                 const harness::RunReport& report) {
   MEWC_CHECK_MSG(slot == slots_.size(), "slots commit strictly in order");
+  MEWC_CHECK_MSG(!checkpoint_due(), "seal the due checkpoint first");
 
   SlotRecord rec;
   rec.slot = slot;
@@ -86,54 +88,54 @@ const SlotRecord& Ledger::commit(std::uint64_t slot,
   // The blob's one committal chance was this slot; drop it either way.
   if (payload != payloads_.end()) payloads_.erase(payload);
 
-  if (!rec.skipped && config_.checkpoint_every != 0) {
-    if (++since_checkpoint_ >= config_.checkpoint_every) {
-      since_checkpoint_ = 0;
-      run_checkpoint(adversary);
-    }
-  }
+  if (!rec.skipped && config_.checkpoint_every != 0) ++since_checkpoint_;
   return slots_.back();
 }
 
-void Ledger::run_checkpoint(const AdversaryFactory& adversary) {
-  harness::RunSpec spec = harness::RunSpec::with(config_.n, config_.t);
-  spec.backend = config_.backend;
-  spec.seed = config_.seed;
-  spec.executor = config_.executor;
+harness::RunSpec Ledger::checkpoint_spec() const {
   // Odd lane *between* the just-committed slot (base + 2k) and the next
   // one (base + 2k + 2): instance nonces are strictly increasing in
   // execution order, which the networked deployment relies on (watermarks
   // and the transport's stale-instance floor both advance monotonically).
-  spec.instance = config_.base_instance + 2 * slots_.size() - 1;
+  harness::RunSpec spec = prepare_spec(slots_.size());
+  spec.instance -= 1;
+  return spec;
+}
 
-  // Every correct replica holds the same log (per-slot agreement), so all
-  // propose "my state matches the digest" = 1; the binary strong BA then
-  // seals the checkpoint, cheaply when the round is failure-free (Lemma 8).
+harness::RunInputs Ledger::checkpoint_inputs() const {
+  // The binary strong BA seals the checkpoint, cheaply when the round is
+  // failure-free (Lemma 8).
   harness::RunInputs inputs;
   inputs.values =
       std::vector<WireValue>(config_.n, WireValue::plain(Value(1)));
+  return inputs;
+}
 
-  harness::RunReport res;
-  if (config_.checkpoint_runner) {
-    res = config_.checkpoint_runner(spec, inputs);
-  } else {
-    std::unique_ptr<Adversary> adv;
-    if (adversary) adv = adversary(slots_.size(), kNoProcess);
-    adv::NullAdversary null_adv;
-    Adversary& adv_ref = adv ? *adv : static_cast<Adversary&>(null_adv);
+void Ledger::complete_pending_checkpoint(const AdversaryFactory& adversary) {
+  if (!checkpoint_due()) return;
+  std::unique_ptr<Adversary> adv;
+  if (adversary) adv = adversary(slots_.size(), kNoProcess);
+  adv::NullAdversary null_adv;
+  Adversary& adv_ref = adv ? *adv : static_cast<Adversary&>(null_adv);
 
-    const harness::ProtocolDriver* sba = harness::find_driver("strong-ba");
-    MEWC_CHECK(sba != nullptr);
-    spec.setup_cache = &checkpoint_cache_;
-    res = sba->run(spec, inputs, adv_ref);
-  }
+  const harness::ProtocolDriver* sba = harness::find_driver("strong-ba");
+  MEWC_CHECK(sba != nullptr);
+  harness::RunSpec spec = checkpoint_spec();
+  spec.setup_cache = &checkpoint_cache_;
+  record_checkpoint(sba->run(spec, checkpoint_inputs(), adv_ref));
+}
+
+const CheckpointRecord& Ledger::record_checkpoint(
+    const harness::RunReport& report) {
+  MEWC_CHECK_MSG(checkpoint_due(), "no checkpoint is due");
+  since_checkpoint_ = 0;
 
   CheckpointRecord rec;
   rec.after_slot = slots_.size();
   rec.ledger_digest = digest_;
-  rec.agreement = res.agreement();
-  rec.accepted = res.decision().value == Value(1);
-  rec.words = res.meter.words_correct;
+  rec.agreement = report.agreement();
+  rec.accepted = report.decision().value == Value(1);
+  rec.words = report.meter.words_correct;
 
   healthy_ &= rec.agreement && rec.accepted;
   total_words_ += rec.words;
@@ -141,6 +143,7 @@ void Ledger::run_checkpoint(const AdversaryFactory& adversary) {
   if (config_.durability != nullptr) {
     config_.durability->on_checkpoint(checkpoints_.back(), *this);
   }
+  return checkpoints_.back();
 }
 
 std::uint64_t Ledger::replay_digest(std::uint64_t seed,
@@ -174,15 +177,6 @@ void Ledger::install(RestoredState state) {
   total_words_ = state.total_words;
   since_checkpoint_ = state.since_checkpoint;
   healthy_ = state.healthy;
-}
-
-void Ledger::complete_pending_checkpoint(const AdversaryFactory& adversary) {
-  if (config_.checkpoint_every == 0 ||
-      since_checkpoint_ < config_.checkpoint_every) {
-    return;
-  }
-  since_checkpoint_ = 0;
-  run_checkpoint(adversary);
 }
 
 std::vector<Value> Ledger::committed() const {

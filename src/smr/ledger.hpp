@@ -91,14 +91,6 @@ class Ledger {
     ExecutorKind executor = ExecutorKind::kLockstep;
     /// Optional durability sink (not owned; must outlive the ledger).
     DurabilityHook* durability = nullptr;
-    /// Replaces the built-in simulated strong-BA when sealing checkpoints.
-    /// `mewc_node` installs a runner that executes the checkpoint instance
-    /// across the real cluster; the spec it receives is the same one the
-    /// simulation would use (odd instance-nonce lane), so the durable
-    /// record stream is shaped identically either way.
-    std::function<harness::RunReport(const harness::RunSpec&,
-                                     const harness::RunInputs&)>
-        checkpoint_runner;
   };
 
   /// Builds a per-slot adversary. An empty function means no corruption.
@@ -114,8 +106,9 @@ class Ledger {
 
   /// Runs one slot: the rotation proposer broadcasts `v` through BB. If the
   /// slot index hits the checkpoint cadence, a checkpoint vote follows.
-  /// Equivalent to prepare_spec + driver run + commit; kept as the
-  /// single-threaded convenience path.
+  /// Equivalent to prepare_spec + driver run + commit +
+  /// complete_pending_checkpoint; kept as the single-threaded convenience
+  /// path.
   const SlotRecord& append(Value v,
                            const AdversaryFactory& adversary = nullptr);
 
@@ -128,7 +121,8 @@ class Ledger {
   /// blob is handed to the durability hook when the slot commits and
   /// dropped afterwards; attaching to an already-committed slot is an
   /// error. Thread-safety follows commit(): the engine serializes both
-  /// under its commit lock.
+  /// under its commit lock. A checkpoint seal touches neither the payload
+  /// table nor the slot list, so attaching while one runs is safe.
   void attach_payload(std::uint64_t slot, std::vector<std::uint8_t> blob);
 
   /// The blob attached to slot `slot` (empty span when none) — only
@@ -142,12 +136,13 @@ class Ledger {
   /// slots' instances concurrently before committing them in order.
   [[nodiscard]] harness::RunSpec prepare_spec(std::uint64_t slot) const;
 
-  /// Commits the outcome of slot `slot`'s BB instance. Slots must be
-  /// committed strictly in order (`slot == slots().size()`); the checkpoint
-  /// cadence runs here, serially, so the ledger digest and checkpoint
-  /// stream are identical no matter how the instances were scheduled.
-  const SlotRecord& commit(std::uint64_t slot, const harness::RunReport& report,
-                           const AdversaryFactory& adversary = nullptr);
+  /// Records the outcome of slot `slot`'s BB instance. Slots must be
+  /// committed strictly in order (`slot == slots().size()`) and never while
+  /// a checkpoint is due: the caller seals it first, so the ledger digest
+  /// and checkpoint stream are identical no matter how the instances were
+  /// scheduled.
+  const SlotRecord& commit(std::uint64_t slot,
+                           const harness::RunReport& report);
 
   [[nodiscard]] const std::vector<SlotRecord>& slots() const { return slots_; }
   [[nodiscard]] const std::vector<CheckpointRecord>& checkpoints() const {
@@ -167,11 +162,14 @@ class Ledger {
   /// checkpoint was accepted.
   [[nodiscard]] bool healthy() const { return healthy_; }
 
-  /// Non-skipped commits since the last sealed checkpoint. Recovery uses
-  /// this to detect a checkpoint that was due but whose record never made
-  /// it to the WAL (crash between the slot append and the checkpoint).
-  [[nodiscard]] std::uint32_t since_checkpoint() const {
-    return since_checkpoint_;
+  /// True when the last commit completed a cadence of non-skipped slots
+  /// and its checkpoint is not sealed yet — after a commit that hits the
+  /// cadence, and after installing durable state that ends between a
+  /// slot's WAL record and its checkpoint's. No slot commits until it is
+  /// sealed.
+  [[nodiscard]] bool checkpoint_due() const {
+    return config_.checkpoint_every != 0 &&
+           since_checkpoint_ >= config_.checkpoint_every;
   }
 
   /// The rolling digest a ledger with this seed holds after committing
@@ -189,28 +187,41 @@ class Ledger {
   /// for installed slots (they are already durable).
   void install(RestoredState state);
 
-  /// Runs the checkpoint BA that was due after the last committed slot but
-  /// is missing from durable state (since_checkpoint() == cadence after a
-  /// crash). The instance nonce depends only on the slot count, so the
-  /// sealed record is identical to what the uninterrupted run produced.
-  /// No-op when no checkpoint is pending.
+  /// Seals the due checkpoint with the built-in simulated strong BA
+  /// (checkpoint_spec + checkpoint_inputs on the ledger's checkpoint cache,
+  /// then record_checkpoint); `adversary` is asked for the instance with
+  /// sender kNoProcess. The one seal entry point for append(), the engine,
+  /// and recovery. The instance nonce depends only on the slot count, so a
+  /// checkpoint completed after a crash matches the uninterrupted run's.
+  /// No-op when no checkpoint is due.
   void complete_pending_checkpoint(const AdversaryFactory& adversary = nullptr);
+
+  /// The strong-BA instance that seals the due checkpoint: the odd nonce
+  /// lane between the last committed slot and the next one. A replica that
+  /// runs it across a cluster uses this spec (with its own setup) so the
+  /// record stream is shaped exactly like the simulated one.
+  [[nodiscard]] harness::RunSpec checkpoint_spec() const;
+
+  /// Every correct replica holds the same log (per-slot agreement), so all
+  /// propose "my state matches the digest" = 1.
+  [[nodiscard]] harness::RunInputs checkpoint_inputs() const;
+
+  /// Records the due checkpoint from its strong BA's report and fires the
+  /// durability hook. Requires checkpoint_due().
+  const CheckpointRecord& record_checkpoint(const harness::RunReport& report);
 
   /// The trusted setup the built-in checkpoint BAs run on: one family for
   /// the ledger's lifetime, so key generation and the kReal verification
-  /// memos carry over from one checkpoint to the next. Unused when a
-  /// checkpoint_runner is installed.
+  /// memos carry over from one checkpoint to the next.
   [[nodiscard]] const harness::SetupCache& checkpoint_cache() const {
     return checkpoint_cache_;
   }
 
  private:
-  void run_checkpoint(const AdversaryFactory& adversary);
-
   Config config_;
-  /// Not thread-safe (see SetupCache); every run_checkpoint caller is
-  /// serial: append() is single-threaded, the engine commits and restores
-  /// under its commit lock, and recovery runs before any slot.
+  /// Not thread-safe (see SetupCache); seals run one at a time: append() is
+  /// single-threaded, the engine lets one worker seal while the commit
+  /// frontier is frozen, and recovery runs before any slot.
   harness::SetupCache checkpoint_cache_;
   /// Batch blobs awaiting their slot's commit, keyed by slot.
   std::map<std::uint64_t, std::vector<std::uint8_t>> payloads_;

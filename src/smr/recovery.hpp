@@ -60,9 +60,9 @@ struct CrashPlan {
 
 /// The production durability sink: appends one WAL record per committed
 /// slot and per sealed checkpoint, maintains the durable kv state, and
-/// cuts a snapshot at every accepted checkpoint. Callbacks run in commit
-/// order (under the engine's commit lock), so the store's byte stream is
-/// deterministic regardless of worker count.
+/// cuts a snapshot at every accepted checkpoint. Callbacks run serially,
+/// in slot order; the frontier is frozen while a checkpoint seals. So the
+/// store's byte stream is deterministic regardless of worker count.
 class Durability final : public DurabilityHook {
  public:
   explicit Durability(Store* store, CrashPlan crash = {})
@@ -118,8 +118,10 @@ struct Recovered {
 /// invalid tail in place (store.wal shrinks to the verified prefix),
 /// starts from the snapshot when it decodes and validates under
 /// `config.seed` (else from genesis), and replays the remaining records.
-/// After installing the result, run Ledger::complete_pending_checkpoint
-/// when stats.checkpoint_pending is set.
+/// After installing the result, seal the due checkpoint when
+/// stats.checkpoint_pending is set (Ledger::checkpoint_due() agrees):
+/// Engine::restore and node::Replica::install do, and no slot commits
+/// before it is sealed.
 [[nodiscard]] Recovered recover(const Ledger::Config& config, Store& store);
 
 struct CatchUpStats {

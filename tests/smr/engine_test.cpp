@@ -1,10 +1,15 @@
-// Pipelined SMR engine: determinism across worker counts, setup-cache
+// Pipelined SMR engine: determinism across worker counts (ledger and
+// durable bytes), checkpoints sealed off the commit lock, setup-cache
 // transcript identity, scheduler backpressure bounds, and the driver
 // registry the engine (and every tool) dispatches through.
 #include "smr/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
 
@@ -12,6 +17,7 @@
 #include "ba/harness.hpp"
 #include "check/adversary_registry.hpp"
 #include "check/record.hpp"
+#include "smr/recovery.hpp"
 
 namespace mewc::smr {
 namespace {
@@ -90,23 +96,161 @@ TEST(SmrEngine, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(SmrEngine, MatchesSerialLedgerAppend) {
-  constexpr std::uint64_t kSlots = 12;
-  EngineConfig c = base_config();
-  c.workers = 4;
-  Engine engine(c);
-  drive(engine, kSlots);
-
+/// The single-threaded ledger an engine with config `c` must reproduce.
+Ledger::Config serial_config(const EngineConfig& c) {
   Ledger::Config lc;
   lc.n = c.n;
   lc.t = c.t;
   lc.seed = c.seed;
   lc.checkpoint_every = c.checkpoint_every;
   lc.base_instance = c.base_instance;
-  Ledger serial(lc);
-  for (std::uint64_t s = 0; s < kSlots; ++s) serial.append(Value(100 + s));
+  return lc;
+}
 
+/// Crash-faults f processes of every slot and every checkpoint (sender
+/// kNoProcess, on the odd nonce lane); pure in (slot, sender).
+Ledger::AdversaryFactory crash_factory(const EngineConfig& c,
+                                       std::uint32_t f) {
+  return [n = c.n, t = c.t, seed = c.seed, f](std::uint64_t slot,
+                                              ProcessId sender) {
+    const bool checkpoint = sender == kNoProcess;
+    check::AdversaryParams params;
+    params.protocol =
+        checkpoint ? check::Protocol::kStrongBa : check::Protocol::kBb;
+    params.n = n;
+    params.t = t;
+    params.f = f;
+    params.instance = 1000 + 2 * slot + (checkpoint ? 1 : 0);
+    params.seed = seed;
+    params.sender = sender;
+    return check::make_adversary("crash", params);
+  };
+}
+
+/// Durability decorator that checks the engine's callback contract:
+/// callbacks never overlap, and each checkpoint seals exactly the slots
+/// committed before it.
+class ContractHook final : public DurabilityHook {
+ public:
+  explicit ContractHook(DurabilityHook& inner) : inner_(inner) {}
+
+  void on_commit(const SlotRecord& rec, const Ledger& ledger,
+                 std::span<const std::uint8_t> batch) override {
+    enter();
+    committed_.store(rec.slot + 1);
+    inner_.on_commit(rec, ledger, batch);
+    leave();
+  }
+
+  void on_checkpoint(const CheckpointRecord& rec,
+                     const Ledger& ledger) override {
+    enter();
+    if (rec.after_slot != committed_.load()) ++misplaced_checkpoints;
+    ++checkpoints;
+    inner_.on_checkpoint(rec, ledger);
+    leave();
+  }
+
+  std::atomic<std::uint64_t> overlaps{0};
+  std::atomic<std::uint64_t> misplaced_checkpoints{0};
+  std::atomic<std::uint64_t> checkpoints{0};
+
+ private:
+  void enter() {
+    if (in_flight_.exchange(true)) ++overlaps;
+  }
+  void leave() { in_flight_.store(false); }
+
+  DurabilityHook& inner_;
+  std::atomic<bool> in_flight_{false};
+  std::atomic<std::uint64_t> committed_{0};
+};
+
+TEST(SmrEngine, MatchesSerialLedgerAppend) {
+  constexpr std::uint64_t kSlots = 12;
+  for (const std::uint32_t every : {4u, 1u}) {
+    for (const bool faulty : {false, true}) {
+      SCOPED_TRACE("checkpoint_every=" + std::to_string(every) +
+                   (faulty ? " crash f=t" : " fault-free"));
+      EngineConfig c = base_config();
+      c.workers = 4;
+      c.checkpoint_every = every;
+      const Ledger::AdversaryFactory adversary =
+          faulty ? crash_factory(c, c.t) : nullptr;
+
+      Store engine_store;
+      Durability engine_durability(&engine_store);
+      ContractHook contract(engine_durability);
+      c.durability = &contract;
+      Engine engine(c);
+      drive(engine, kSlots, adversary);
+
+      Store serial_store;
+      Durability serial_durability(&serial_store);
+      Ledger::Config lc = serial_config(c);
+      lc.durability = &serial_durability;
+      Ledger serial(lc);
+      for (std::uint64_t s = 0; s < kSlots; ++s) {
+        serial.append(Value(100 + s), adversary);
+      }
+
+      expect_ledgers_identical(serial, engine.ledger());
+      EXPECT_EQ(serial_store.wal, engine_store.wal);
+      EXPECT_EQ(serial_store.snapshot, engine_store.snapshot);
+      EXPECT_FALSE(engine_store.snapshot.empty());
+      EXPECT_EQ(contract.overlaps.load(), 0u);
+      EXPECT_EQ(contract.misplaced_checkpoints.load(), 0u);
+      EXPECT_EQ(contract.checkpoints.load(), serial.checkpoints().size());
+      if (faulty) {
+        EXPECT_GT(engine.stats().fallbacks, 0u);
+      }
+    }
+  }
+}
+
+TEST(SmrEngine, WorkersKeepRunningWhileCheckpointSeals) {
+  // The checkpoint after slot 3 holds its sealing worker until another
+  // worker starts slot 4. That happens only if the seal runs off the
+  // commit lock; otherwise submit(4) waits for the lock and the gate times
+  // out (it does not hang).
+  EngineConfig c = base_config();
+  c.workers = 3;
+  ASSERT_EQ(c.checkpoint_every, 4u);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool sealing = false;
+  bool slot4_started = false;
+  bool timed_out = false;
+  const Ledger::AdversaryFactory gate =
+      [&](std::uint64_t slot, ProcessId sender) -> std::unique_ptr<Adversary> {
+    std::unique_lock<std::mutex> lock(mu);
+    if (sender == kNoProcess) {
+      sealing = true;
+      cv.notify_all();
+      timed_out = !cv.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return slot4_started; });
+    } else if (slot == 4) {
+      slot4_started = true;
+      cv.notify_all();
+    }
+    return nullptr;
+  };
+
+  Engine engine(c);
+  for (std::uint64_t s = 0; s < 4; ++s) engine.submit(Value(100 + s), gate);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return sealing; });
+  }
+  engine.submit(Value(104), gate);
+  engine.finish();
+  EXPECT_FALSE(timed_out);
+
+  Ledger serial(serial_config(c));
+  for (std::uint64_t s = 0; s < 5; ++s) serial.append(Value(100 + s));
   expect_ledgers_identical(serial, engine.ledger());
+  EXPECT_EQ(engine.ledger().checkpoints().size(), 1u);
 }
 
 TEST(SmrEngine, AdversarialSlotsStayDeterministicAndAgree) {
